@@ -18,8 +18,11 @@ import (
 	"testing"
 
 	"lva"
+	"lva/internal/coherence"
 	"lva/internal/experiments"
+	"lva/internal/fullsys"
 	"lva/internal/memsim"
+	"lva/internal/noc"
 	"lva/internal/stats"
 	"lva/internal/trace"
 	"lva/internal/workloads"
@@ -331,8 +334,10 @@ func BenchmarkGridRecord(b *testing.B) {
 	}
 }
 
-func BenchmarkGridReplay(b *testing.B) {
-	w := workloads.NewBlackscholes()
+// recordGrid records w's annotated access stream at the default seed into
+// an in-memory grid trace.
+func recordGrid(b *testing.B, w workloads.Workload) ([]byte, trace.GridHeader) {
+	b.Helper()
 	cfg := memsim.DefaultConfig()
 	cfg.Attach = memsim.AttachNone
 	var buf bytes.Buffer
@@ -344,7 +349,11 @@ func BenchmarkGridReplay(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	enc := buf.Bytes()
+	return buf.Bytes(), hdr
+}
+
+func BenchmarkGridReplay(b *testing.B) {
+	enc, hdr := recordGrid(b, workloads.NewBlackscholes())
 	lvp := memsim.DefaultConfig()
 	lvp.Attach = memsim.AttachLVP
 	b.ReportAllocs()
@@ -369,4 +378,59 @@ func BenchmarkFullSystemReplay(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		lva.NewSystem(lva.DefaultSystemConfig()).Run(tr)
 	}
+}
+
+// ---------------------------------------------------------------------------
+// Phase-2 benchmarks: the full-system model's per-access layers. NoCSend
+// and DirectoryStore allocate nothing, so benchdiff fails them as soon as
+// they allocate. FullSystemStream allocates the simulator and its queue
+// blocks; the block count follows the buffered window (about 40% of
+// bodytrack's stream), not the number of accesses simulated.
+
+// BenchmarkNoCSend measures one control packet on the 2x2 mesh, cycling
+// through every source/destination pair.
+func BenchmarkNoCSend(b *testing.B) {
+	m := noc.New(noc.DefaultConfig())
+	var now uint64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		now = m.SendCtrl(i&3, (i>>2)&3, now)
+	}
+}
+
+// BenchmarkDirectoryStore measures one MSI store over a 4093-block working
+// set, with ownership moving between the four nodes. The set is tracked
+// before timing starts, so the directory never grows inside the loop.
+func BenchmarkDirectoryStore(b *testing.B) {
+	d := coherence.NewDirectory(4)
+	for i := 0; i < 4093; i++ {
+		d.Store(uint64(i)*64, i&3)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d.Store(uint64(i%4093)*64, i&3)
+	}
+}
+
+// BenchmarkFullSystemStream streams an in-memory grid recording of
+// bodytrack, whose accesses miss the L1 often, through the precise
+// full-system model.
+func BenchmarkFullSystemStream(b *testing.B) {
+	enc, hdr := recordGrid(b, workloads.NewBodytrack())
+	var r fullsys.Result
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		gr, err := trace.NewGridReader(bytes.NewReader(enc))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if r, err = fullsys.New(fullsys.DefaultConfig()).RunStream(hdr.Threads, gr); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(r.L1LoadMisses), "l1-load-misses")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(hdr.Accesses), "ns/access")
 }

@@ -7,10 +7,11 @@
 //
 // It exits nonzero when any benchmark slower than -min-ns regresses by more
 // than -max-regress in ns/op, or grows allocs/op by more than
-// -max-alloc-regress on a benchmark allocating at least -min-allocs, so
-// `./ci.sh bench -baseline OLD.json` is a local perf gate. Benchmarks under
-// the floors are reported but never gate: at nanosecond scale a shared
-// machine's scheduler noise exceeds any sensible bound, and tiny
+// -max-alloc-regress on a benchmark allocating at least -min-allocs, or
+// allocates at all on a benchmark whose baseline allocates nothing, so
+// `./ci.sh bench -baseline OLD.json` is a local perf gate. Other benchmarks
+// under the floors are reported but never gate: at nanosecond scale a
+// shared machine's scheduler noise exceeds any sensible bound, and tiny
 // allocation counts jump by whole-number steps. Allocation counts, unlike
 // wall time, are deterministic — so the alloc gate holds even on noisy
 // runners. -warn-only downgrades failures to warnings for CI, where runners
@@ -216,7 +217,10 @@ func main() {
 		if o.hasMem || n.hasMem {
 			allocs = fmt.Sprintf("%.0f→%.0f", o.AllocsPerOp, n.AllocsPerOp)
 		}
-		if o.hasMem && n.hasMem && o.AllocsPerOp > 0 &&
+		if o.hasMem && n.hasMem && o.AllocsPerOp == 0 && n.AllocsPerOp > 0 {
+			failed++
+			mark += "  ALLOC REGRESSION (was allocation-free)"
+		} else if o.hasMem && n.hasMem && o.AllocsPerOp > 0 &&
 			(n.AllocsPerOp-o.AllocsPerOp)/o.AllocsPerOp > *maxAllocRegress {
 			if o.AllocsPerOp >= *minAllocs {
 				failed++

@@ -2,6 +2,7 @@ package coherence
 
 import (
 	"fmt"
+	"math/bits"
 	"testing"
 	"testing/quick"
 )
@@ -21,7 +22,7 @@ func TestInitialStateInvalid(t *testing.T) {
 func TestLoadGrantsShared(t *testing.T) {
 	d := NewDirectory(4)
 	act := d.Load(blk, 0)
-	if act.FlushFrom != -1 || len(act.Invalidate) != 0 {
+	if act.FlushFrom != -1 || act.Invalidate != 0 {
 		t.Fatalf("clean load must need nothing: %+v", act)
 	}
 	if d.StateOf(blk) != Shared {
@@ -43,8 +44,8 @@ func TestStoreInvalidatesSharers(t *testing.T) {
 	if act.FlushFrom != -1 {
 		t.Fatalf("no dirty owner to flush: %+v", act)
 	}
-	if len(act.Invalidate) != 2 {
-		t.Fatalf("invalidate list = %v, want nodes 1 and 2", act.Invalidate)
+	if act.Invalidate != 1<<1|1<<2 {
+		t.Fatalf("invalidate mask = %b, want nodes 1 and 2", act.Invalidate)
 	}
 	if d.StateOf(blk) != Modified {
 		t.Fatalf("state = %v", d.StateOf(blk))
@@ -83,7 +84,7 @@ func TestStoreFlushesRemoteDirty(t *testing.T) {
 	if act.FlushFrom != 1 {
 		t.Fatalf("store must flush the previous owner: %+v", act)
 	}
-	if len(act.Invalidate) != 1 || act.Invalidate[0] != 1 {
+	if act.Invalidate != 1<<1 {
 		t.Fatalf("previous owner must be invalidated: %+v", act)
 	}
 	if d.StateOf(blk) != Modified || d.Sharers(blk)[0] != 2 {
@@ -95,7 +96,7 @@ func TestOwnStoreUpgradeNoFlush(t *testing.T) {
 	d := NewDirectory(4)
 	d.Load(blk, 0)
 	act := d.Store(blk, 0)
-	if act.FlushFrom != -1 || len(act.Invalidate) != 0 {
+	if act.FlushFrom != -1 || act.Invalidate != 0 {
 		t.Fatalf("upgrading sole sharer needs nothing: %+v", act)
 	}
 }
@@ -183,5 +184,98 @@ func TestSingleOwnerInvariant(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestOpsAllocateNothing pins the directory allocation-free once its table
+// has grown to the working set: lines are stored by value and invalidation
+// targets are a bitmask.
+func TestOpsAllocateNothing(t *testing.T) {
+	d := NewDirectory(4)
+	ops := func() {
+		for b := 0; b < 512; b++ {
+			block := uint64(b) * 64
+			d.Load(block, b%4)
+			d.Load(block, (b+1)%4)
+			d.Store(block, (b+2)%4)
+			d.Evict(block, (b+2)%4)
+		}
+	}
+	ops() // warm-up: grow the table
+	if allocs := testing.AllocsPerRun(20, ops); allocs != 0 {
+		t.Fatalf("Load/Store/Evict allocate %v times per round", allocs)
+	}
+}
+
+// TestTableMatchesModel drives thousands of colliding blocks through random
+// load/store/evict sequences, exercising the line table's probing, growth
+// and deletion, and checks every block's state, sharers and the message
+// counters against a map-backed model.
+func TestTableMatchesModel(t *testing.T) {
+	type ref struct {
+		sharers uint64
+		owner   int // >= 0 while Modified
+	}
+	d := NewDirectory(4)
+	model := map[uint64]*ref{}
+	var invalidations, flushes uint64
+	rng := uint64(1)
+	for i := 0; i < 200000; i++ {
+		rng = rng*6364136223846793005 + 1442695040888963407
+		block := (rng >> 33) % 3000 * 64
+		node := int(rng>>20) % 4
+		m := model[block]
+		if m == nil {
+			m = &ref{owner: -1}
+			model[block] = m
+		}
+		switch (rng >> 40) % 3 {
+		case 0:
+			d.Load(block, node)
+			if m.owner >= 0 && m.owner != node {
+				flushes++
+			}
+			m.sharers |= 1 << node
+			m.owner = -1
+		case 1:
+			d.Store(block, node)
+			if m.owner >= 0 && m.owner != node {
+				flushes++
+			}
+			invalidations += uint64(bits.OnesCount64(m.sharers &^ (1 << node)))
+			m.sharers, m.owner = 1<<node, node
+		default:
+			d.Evict(block, node)
+			m.sharers &^= 1 << node
+			if m.owner == node {
+				m.owner = -1
+			}
+			if m.sharers == 0 {
+				delete(model, block)
+			}
+		}
+	}
+	if d.live != len(model) {
+		t.Fatalf("directory tracks %d lines, model %d", d.live, len(model))
+	}
+	for b := uint64(0); b < 3000; b++ {
+		block := b * 64
+		want, sharers := Invalid, uint64(0)
+		if m := model[block]; m != nil {
+			want, sharers = Shared, m.sharers
+			if m.owner >= 0 {
+				want = Modified
+			}
+		}
+		var got uint64
+		for _, n := range d.Sharers(block) {
+			got |= 1 << n
+		}
+		if d.StateOf(block) != want || got != sharers {
+			t.Fatalf("block %#x: state %v sharers %b, want %v %b", block, d.StateOf(block), got, want, sharers)
+		}
+	}
+	if d.Invalidations != invalidations || d.Flushes != flushes {
+		t.Fatalf("invalidations %d flushes %d, want %d %d", d.Invalidations, d.Flushes, invalidations, flushes)
 	}
 }

@@ -33,7 +33,8 @@ var obshooksAnalyzer = &Analyzer{
 
 // hotPathPkgs are the packages on the per-load simulation path. The trace
 // package is here for its grid capture sink: (*GridWriter).Access runs on
-// every access of a recording run.
+// every access of a recording run. fullsys, noc and coherence are the
+// phase-2 per-access path.
 var hotPathPkgs = map[string]bool{
 	"lva/internal/memsim":    true,
 	"lva/internal/cache":     true,
@@ -42,6 +43,9 @@ var hotPathPkgs = map[string]bool{
 	"lva/internal/obs/phase": true,
 	"lva/internal/obs/prov":  true,
 	"lva/internal/trace":     true,
+	"lva/internal/fullsys":   true,
+	"lva/internal/noc":       true,
+	"lva/internal/coherence": true,
 }
 
 // attrSeamPkgs additionally ban fmt outright (not just in hot-named

@@ -39,10 +39,15 @@ func (c Config) Validate() error {
 // Nodes returns the node count.
 func (c Config) Nodes() int { return c.Width * c.Height }
 
-// link identifies a directed channel between adjacent routers.
-type link struct {
-	from, to int
-}
+// Directed links leave each router in one of four directions; a link's
+// busy-until time lives at linkFree[node*4+direction].
+const (
+	east = iota
+	west
+	south
+	north
+	directions
+)
 
 // Stats counts NoC activity.
 type Stats struct {
@@ -53,7 +58,7 @@ type Stats struct {
 // Mesh is the interconnect model. Not safe for concurrent use.
 type Mesh struct {
 	cfg      Config
-	linkFree map[link]uint64
+	linkFree []uint64 // busy-until cycle per directed link
 	stats    Stats
 }
 
@@ -62,7 +67,7 @@ func New(cfg Config) *Mesh {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	return &Mesh{cfg: cfg, linkFree: make(map[link]uint64)}
+	return &Mesh{cfg: cfg, linkFree: make([]uint64, cfg.Nodes()*directions)}
 }
 
 // Config returns the mesh configuration.
@@ -102,28 +107,48 @@ func (m *Mesh) Route(src, dst int) []int {
 func (m *Mesh) Hops(src, dst int) int { return len(m.Route(src, dst)) - 1 }
 
 // Send injects a packet of `flits` flits at time `now` and returns its
-// arrival time at dst. Each directed link serializes: a packet holds the
-// link for `flits` cycles, so concurrent traffic queues up. src == dst
-// arrives immediately (bank co-located with the core tile).
+// arrival time at dst. It walks the XY route (X first, then Y) in place.
+// Each directed link serializes: a packet holds the link for `flits`
+// cycles, so concurrent traffic queues up. src == dst arrives immediately
+// (bank co-located with the core tile).
 func (m *Mesh) Send(src, dst int, flits int, now uint64) uint64 {
 	m.stats.Packets++
 	if src == dst {
 		return now
 	}
-	path := m.Route(src, dst)
+	x, y := m.coord(src)
+	dx, dy := m.coord(dst)
 	t := now
-	for i := 0; i+1 < len(path); i++ {
-		l := link{from: path[i], to: path[i+1]}
-		depart := t
-		if free := m.linkFree[l]; free > depart {
-			depart = free
+	for x != dx {
+		if x < dx {
+			t = m.hop(m.node(x, y), east, flits, t)
+			x++
+		} else {
+			t = m.hop(m.node(x, y), west, flits, t)
+			x--
 		}
-		m.linkFree[l] = depart + uint64(flits)
-		t = depart + m.cfg.RouterCycles + m.cfg.LinkCycles
-		m.stats.FlitHops += uint64(flits)
+	}
+	for y != dy {
+		if y < dy {
+			t = m.hop(m.node(x, y), south, flits, t)
+			y++
+		} else {
+			t = m.hop(m.node(x, y), north, flits, t)
+			y--
+		}
 	}
 	// Tail flits serialize onto the final hop.
 	return t + uint64(flits) - 1
+}
+
+// hop moves a packet that is ready at t across the link leaving node in
+// direction dir and returns when its head reaches the next router.
+func (m *Mesh) hop(node, dir, flits int, t uint64) uint64 {
+	free := &m.linkFree[node*directions+dir]
+	depart := max(t, *free)
+	*free = depart + uint64(flits)
+	m.stats.FlitHops += uint64(flits)
+	return depart + m.cfg.RouterCycles + m.cfg.LinkCycles
 }
 
 // SendCtrl sends a control packet (request/ack).
@@ -138,6 +163,6 @@ func (m *Mesh) SendData(src, dst int, now uint64) uint64 {
 
 // Reset clears link reservations and statistics.
 func (m *Mesh) Reset() {
-	m.linkFree = make(map[link]uint64)
+	clear(m.linkFree)
 	m.stats = Stats{}
 }

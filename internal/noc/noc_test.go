@@ -162,3 +162,51 @@ func TestReset(t *testing.T) {
 		t.Fatalf("post-reset latency = %d", got)
 	}
 }
+
+// TestSendAllocatesNothing pins the per-packet path allocation-free: routes
+// are walked in place and link reservations live in a flat table.
+func TestSendAllocatesNothing(t *testing.T) {
+	m := New(DefaultConfig())
+	var now uint64
+	allocs := testing.AllocsPerRun(100, func() {
+		for src := 0; src < 4; src++ {
+			for dst := 0; dst < 4; dst++ {
+				now = m.SendData(dst, src, m.SendCtrl(src, dst, now))
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("SendCtrl/SendData allocate %v times per round", allocs)
+	}
+}
+
+// TestSendMatchesRoute checks the in-place walk against Route on a larger
+// mesh: an uncontended packet's latency and flit-hops follow the route's
+// hop count, a second packet on the same route queues behind the first, and
+// one on the reverse route does not (opposite directions are distinct
+// links).
+func TestSendMatchesRoute(t *testing.T) {
+	cfg := Config{Width: 4, Height: 3, RouterCycles: 3, LinkCycles: 1, CtrlFlits: 1, DataFlits: 5}
+	for src := 0; src < cfg.Nodes(); src++ {
+		for dst := 0; dst < cfg.Nodes(); dst++ {
+			if src == dst {
+				continue
+			}
+			m := New(cfg)
+			hops := uint64(m.Hops(src, dst))
+			want := 100 + hops*4 + 4
+			if arr := m.SendData(src, dst, 100); arr != want {
+				t.Fatalf("%d->%d: arrival %d, want %d for %d hops", src, dst, arr, want, hops)
+			}
+			if got := m.Stats().FlitHops; got != 5*hops {
+				t.Fatalf("%d->%d: flit-hops %d for %d hops", src, dst, got, hops)
+			}
+			if back := m.SendData(dst, src, 100); back != want {
+				t.Fatalf("%d->%d: reverse packet arrives at %d, want uncontended %d", dst, src, back, want)
+			}
+			if again := m.SendData(src, dst, 100); again != want+5 {
+				t.Fatalf("%d->%d: contending arrival %d, want %d", src, dst, again, want+5)
+			}
+		}
+	}
+}

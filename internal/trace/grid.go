@@ -295,6 +295,7 @@ type GridReader struct {
 	hdr  GridHeader
 	done bool
 
+	frame   [8]byte // chunk header scratch: a local would escape through io.Reader
 	payload []byte
 	accs    []Access
 	insts   []uint64
@@ -336,12 +337,11 @@ func (g *GridReader) Next() ([]Access, []uint64, error) {
 	if g.done {
 		return nil, nil, io.EOF
 	}
-	var hdr [8]byte
-	if _, err := io.ReadFull(g.r, hdr[:]); err != nil {
+	if _, err := io.ReadFull(g.r, g.frame[:]); err != nil {
 		return nil, nil, fmt.Errorf("trace: reading grid chunk header: %w", err)
 	}
-	count := int(binary.LittleEndian.Uint32(hdr[0:]))
-	size := int(binary.LittleEndian.Uint32(hdr[4:]))
+	count := int(binary.LittleEndian.Uint32(g.frame[0:]))
+	size := int(binary.LittleEndian.Uint32(g.frame[4:]))
 	if count == 0 {
 		return nil, nil, g.readFooter(size)
 	}
