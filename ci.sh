@@ -7,6 +7,8 @@
 #   lint   — go run ./cmd/lvalint ./...   (project invariants, see DESIGN.md)
 #   test   — go test ./...
 #   race   — go test -race ./...
+#   bench module — go vet ./... && go test ./... inside lvabench/ (a nested
+#            module, so the root ./... never reaches it)
 #
 # `./ci.sh bench [-baseline FILE]` instead runs the benchmark suite once
 # (-benchtime=1x), writes the machine-readable go-test event stream to
@@ -136,4 +138,7 @@ step go test ./...
 # timeout: single-core CI boxes run the experiment regenerations under the
 # detector's 5-10x slowdown.
 step go test -race -timeout 20m ./...
+# lvabench has its own go.mod, so the root ./... above skips it; its tests
+# check the golden-cell, count-ledger and metric-table logic.
+(cd lvabench && step go vet ./... && step go test ./...)
 echo "ci.sh: all checks passed"

@@ -3,6 +3,7 @@ package lva_test
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -95,6 +96,30 @@ func TestLvasimSingleBenchmark(t *testing.T) {
 	}
 	if !strings.Contains(out, "swaptions") || !strings.Contains(out, "lva") {
 		t.Fatalf("output missing expected fields:\n%s", out)
+	}
+}
+
+func TestLvasimRejectsOutOfRangeFlags(t *testing.T) {
+	bin := buildCLI(t, "lvasim")
+	cases := []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-attach", "prefetch", "-degree", "-1"}, "prefetch: degree must be >= 0, got -1"},
+		{[]string{"-attach", "lva", "-degree", "-1"}, "core: approximation degree must be >= 0, got -1"},
+		{[]string{"-attach", "lva", "-delay", "-3"}, "core: value delay must be >= 0, got -3"},
+		{[]string{"-attach", "lva", "-ghb", "-2"}, "core: GHB size must be >= 0, got -2"},
+		{[]string{"-attach", "lva", "-mantissa", "99"}, "core: mantissa loss must be in [0,23], got 99"},
+	}
+	for _, c := range cases {
+		_, stderr, err := runCLI(t, bin, append([]string{"-bench", "swaptions"}, c.args...)...)
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("%v: err = %v, want exit status 2", c.args, err)
+		}
+		if !strings.Contains(stderr, "lvasim: "+c.want) || strings.Contains(stderr, "panic:") {
+			t.Errorf("%v: stderr = %q, want %q and no panic", c.args, stderr, "lvasim: "+c.want)
+		}
 	}
 }
 

@@ -16,6 +16,7 @@ import (
 	"lva/internal/core"
 	"lva/internal/experiments"
 	"lva/internal/obs"
+	"lva/internal/prefetch"
 	"lva/internal/stats"
 	"lva/internal/workloads"
 )
@@ -39,8 +40,7 @@ func main() {
 		obs.SetEnabled(true)
 		addr, err := obs.ServeDebug(*pprof)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "lvasim:", err)
-			os.Exit(2)
+			fail(err)
 		}
 		fmt.Fprintf(os.Stderr, "lvasim: debug server on http://%s/debug/pprof/\n", addr)
 	}
@@ -57,32 +57,48 @@ func main() {
 		ws = []workloads.Workload{w}
 	}
 
+	// Build and check the configuration before simulating anything, so an
+	// out-of-range flag exits with an error instead of a panic mid-run.
+	var simulate func(workloads.Workload) experiments.RunResult
+	switch *attach {
+	case "precise":
+	case "lva", "lvp":
+		cfg := core.DefaultConfig()
+		cfg.GHBSize = *ghb
+		cfg.Window = *window
+		cfg.IntConfidence = *intConf
+		cfg.Degree = *degree
+		cfg.ValueDelay = *delay
+		cfg.MantissaLoss = *mantissa
+		if err := cfg.Validate(); err != nil {
+			fail(err)
+		}
+		simulate = func(w workloads.Workload) experiments.RunResult {
+			if *attach == "lva" {
+				return experiments.RunLVA(w, cfg, *seed)
+			}
+			return experiments.RunLVP(w, cfg, *seed)
+		}
+	case "prefetch":
+		cfg := prefetch.DefaultConfig()
+		cfg.Degree = *degree
+		if err := cfg.Validate(); err != nil {
+			fail(err)
+		}
+		simulate = func(w workloads.Workload) experiments.RunResult {
+			return experiments.RunPrefetch(w, *degree, *seed)
+		}
+	default:
+		fmt.Fprintf(os.Stderr, "unknown attachment %q\n", *attach)
+		os.Exit(2)
+	}
+
 	tbl := stats.NewTable("", "benchmark", "attach", "insts", "loadMPKI", "effMPKI", "coverage", "fetches", "error")
 	for _, w := range ws {
 		precise := experiments.RunPrecise(w, *seed)
-
-		var run experiments.RunResult
-		switch *attach {
-		case "precise":
-			run = precise
-		case "lva", "lvp":
-			cfg := core.DefaultConfig()
-			cfg.GHBSize = *ghb
-			cfg.Window = *window
-			cfg.IntConfidence = *intConf
-			cfg.Degree = *degree
-			cfg.ValueDelay = *delay
-			cfg.MantissaLoss = *mantissa
-			if *attach == "lva" {
-				run = experiments.RunLVA(w, cfg, *seed)
-			} else {
-				run = experiments.RunLVP(w, cfg, *seed)
-			}
-		case "prefetch":
-			run = experiments.RunPrefetch(w, *degree, *seed)
-		default:
-			fmt.Fprintf(os.Stderr, "unknown attachment %q\n", *attach)
-			os.Exit(2)
+		run := precise
+		if simulate != nil {
+			run = simulate(w)
 		}
 
 		errFrac := 0.0
@@ -100,4 +116,10 @@ func main() {
 		)
 	}
 	fmt.Print(tbl)
+}
+
+// fail reports a usage or configuration error and exits with status 2.
+func fail(err error) {
+	fmt.Fprintln(os.Stderr, "lvasim:", err)
+	os.Exit(2)
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"go/ast"
+	"go/types"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -267,9 +268,9 @@ func runAllocbudget(p *Pass) {
 
 	// Locate each budgeted function's declaration and span.
 	type span struct {
-		decl      *ast.FuncDecl
-		file      string // module-root-relative path
-		from, to  int
+		decl     *ast.FuncDecl
+		file     string // module-root-relative path
+		from, to int
 	}
 	decls := make(map[string]span)
 	for _, f := range p.Pkg.Files {
@@ -315,8 +316,46 @@ func runAllocbudget(p *Pass) {
 					p.Reportf(sp.decl.Pos(), "%s must not allocate, but the compiler reports %q at %s:%d: per-load heap traffic undoes the PR-4 flattening", name, e.msg, e.file, e.line)
 				}
 			}
+			reportMapBuilds(p, sp.decl, name)
 		}
 	}
+}
+
+// reportMapBuilds flags every map a NoEscape function builds. A map that
+// does not escape gets no compiler diagnostic, because its first group
+// lives on the stack, but the map moves to the heap as soon as it
+// outgrows that group.
+func reportMapBuilds(p *Pass, fd *ast.FuncDecl, name string) {
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		if e, ok := n.(ast.Expr); ok && buildsMap(p, e) {
+			p.Reportf(e.Pos(), "%s must not allocate, but builds a map here: a map moves to the heap once it outgrows its first group, with no escape diagnostic", name)
+		}
+		return true
+	})
+}
+
+// buildsMap reports whether e is a map composite literal or a make of a
+// map.
+func buildsMap(p *Pass, e ast.Expr) bool {
+	switch e := e.(type) {
+	case *ast.CompositeLit:
+	case *ast.CallExpr:
+		id, ok := ast.Unparen(e.Fun).(*ast.Ident)
+		if !ok || id.Name != "make" {
+			return false
+		}
+		if _, ok := p.Pkg.Info.Uses[id].(*types.Builtin); !ok {
+			return false
+		}
+	default:
+		return false
+	}
+	tv, ok := p.Pkg.Info.Types[e]
+	if !ok {
+		return false
+	}
+	_, isMap := tv.Type.Underlying().(*types.Map)
+	return isMap
 }
 
 // RegenerateBudget re-records the committed budget from the current

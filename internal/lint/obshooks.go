@@ -33,12 +33,14 @@ var obshooksAnalyzer = &Analyzer{
 
 // hotPathPkgs are the packages on the per-load simulation path. The trace
 // package is here for its grid capture sink: (*GridWriter).Access runs on
-// every access of a recording run. fullsys, noc and coherence are the
-// phase-2 per-access path.
+// every access of a recording run. prefetch runs on every miss of a
+// prefetch-attached memsim. fullsys, noc and coherence are the phase-2
+// per-access path.
 var hotPathPkgs = map[string]bool{
 	"lva/internal/memsim":    true,
 	"lva/internal/cache":     true,
 	"lva/internal/core":      true,
+	"lva/internal/prefetch":  true,
 	"lva/internal/obs/attr":  true,
 	"lva/internal/obs/phase": true,
 	"lva/internal/obs/prov":  true,

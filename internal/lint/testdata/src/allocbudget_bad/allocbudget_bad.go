@@ -1,6 +1,7 @@
 // Package allocbudget_bad breaks its committed hot-path budget: a fmt
 // call pushes Bump past its inline-cost ceiling and makes its argument
-// escape, and Leak returns the address of a local.
+// escape, Leak returns the address of a local, and Distinct builds a map
+// that escape analysis keeps on the stack until it grows.
 package allocbudget_bad
 
 import "fmt"
@@ -23,4 +24,14 @@ func (c *Counter) Bump(tag string) { // want:allocbudget
 func Leak(n int) *int { // want:allocbudget
 	x := n * 2
 	return &x
+}
+
+// Distinct is budgeted noEscape. Its map does not escape, so the compiler
+// reports nothing, but past eight keys the map grows onto the heap.
+func Distinct(xs []int) int {
+	seen := map[int]bool{} // want:allocbudget
+	for _, x := range xs {
+		seen[x] = true
+	}
+	return len(seen)
 }

@@ -1,13 +1,21 @@
 package memsim
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+
+	"lva/internal/prefetch"
+)
+
+// allocRuns is how many measured calls assertZeroAllocs averages over.
+const allocRuns = 200
 
 // assertZeroAllocs pins a per-load path to zero steady-state allocations —
 // the tentpole perf contract: after warmup, no load/store on any attachment
 // path may touch the heap.
 func assertZeroAllocs(t *testing.T, name string, fn func()) {
 	t.Helper()
-	if n := testing.AllocsPerRun(200, fn); n != 0 {
+	if n := testing.AllocsPerRun(allocRuns, fn); n != 0 {
 		t.Errorf("%s: %v allocs/op, want 0", name, n)
 	}
 }
@@ -68,17 +76,32 @@ func TestPerLoadPathsAllocateNothing(t *testing.T) {
 	})
 
 	t.Run("prefetch attach", func(t *testing.T) {
-		cfg := DefaultConfig()
-		cfg.Attach = AttachPrefetch
-		sim := New(cfg)
-		for i := 0; i < 64; i++ {
-			sim.LoadInt(0x400, uint64(0x100000+i*64), 10, false)
+		// The prefetcher runs only on a miss, so every measured load must
+		// miss: addresses come from an LCG over a 64 MB span, and the
+		// prefetcher's miss count must grow by exactly one per call.
+		for _, degree := range []int{4, 16} {
+			cfg := DefaultConfig()
+			cfg.Attach = AttachPrefetch
+			cfg.Prefetch = prefetch.DefaultConfig()
+			cfg.Prefetch.Degree = degree
+			sim := New(cfg)
+			x := uint64(1)
+			addr := func() uint64 {
+				x = x*6364136223846793005 + 1442695040888963407
+				return 0x1000000 + x>>38 // the top 26 bits: a 64 MB span
+			}
+			for i := 0; i < 64; i++ {
+				sim.LoadInt(0x400, addr(), 10, false)
+			}
+			before := sim.pref.Stats().Misses
+			assertZeroAllocs(t, fmt.Sprintf("prefetch miss, degree %d", degree), func() {
+				sim.LoadInt(0x400, addr(), 10, false)
+			})
+			// AllocsPerRun makes one warm-up call before the measured runs.
+			if n := sim.pref.Stats().Misses - before; n != allocRuns+1 {
+				t.Errorf("degree %d: %d of %d loads missed", degree, n, allocRuns+1)
+			}
 		}
-		addr := uint64(0x800000)
-		assertZeroAllocs(t, "prefetch miss", func() {
-			sim.LoadInt(0x400, addr, 10, false)
-			addr += 64
-		})
 	})
 
 	t.Run("capture within preallocated capacity", func(t *testing.T) {

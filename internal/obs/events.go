@@ -32,22 +32,34 @@ type Event struct {
 // the common case for every non-interactive run.
 var (
 	subMu    sync.Mutex
-	subs     map[int]func(Event)
+	subs     map[int]*subscription
 	subNext  int
 	subCount atomic.Int32
 )
 
+// subscription is one registered callback. Emit holds mu for reading
+// while fn runs and cancel takes it for writing, so once cancel returns
+// no delivery to fn is running and none will start.
+type subscription struct {
+	mu        sync.RWMutex
+	fn        func(Event)
+	cancelled bool
+}
+
 // OnEvent registers fn to receive every emitted event and returns a cancel
 // function. Callbacks run synchronously on the emitting goroutine and may
-// be invoked concurrently; they must be fast and race-safe.
+// be invoked concurrently; they must be fast and race-safe. Once cancel
+// returns, fn is not running and is never called again; cancel waits for
+// deliveries in flight, so fn must not call it.
 func OnEvent(fn func(Event)) (cancel func()) {
+	s := &subscription{fn: fn}
 	subMu.Lock()
 	if subs == nil {
-		subs = make(map[int]func(Event))
+		subs = make(map[int]*subscription)
 	}
 	id := subNext
 	subNext++
-	subs[id] = fn
+	subs[id] = s
 	subCount.Store(int32(len(subs)))
 	subMu.Unlock()
 	return func() {
@@ -55,6 +67,9 @@ func OnEvent(fn func(Event)) (cancel func()) {
 		delete(subs, id)
 		subCount.Store(int32(len(subs)))
 		subMu.Unlock()
+		s.mu.Lock()
+		s.cancelled = true
+		s.mu.Unlock()
 	}
 }
 
@@ -65,13 +80,17 @@ func Emit(e Event) {
 		return
 	}
 	subMu.Lock()
-	fns := make([]func(Event), 0, len(subs))
-	for _, fn := range subs {
-		fns = append(fns, fn)
+	ss := make([]*subscription, 0, len(subs))
+	for _, s := range subs {
+		ss = append(ss, s)
 	}
 	subMu.Unlock()
-	for _, fn := range fns {
-		fn(e)
+	for _, s := range ss {
+		s.mu.RLock()
+		if !s.cancelled {
+			s.fn(e)
+		}
+		s.mu.RUnlock()
 	}
 }
 

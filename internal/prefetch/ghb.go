@@ -68,12 +68,13 @@ type Stats struct {
 // Prefetcher is a GHB/local-delta-correlation prefetcher. Not safe for
 // concurrent use.
 type Prefetcher struct {
-	cfg   Config
-	ghb   []ghbEntry
-	head  int
-	seq   uint64
-	index []indexEntry
-	stats Stats
+	cfg     Config
+	ghb     []ghbEntry
+	head    int
+	seq     uint64
+	index   []indexEntry
+	targets []uint64 // OnMiss's result buffer, capacity Degree
+	stats   Stats
 }
 
 // New builds a prefetcher; it panics on an invalid Config.
@@ -82,9 +83,10 @@ func New(cfg Config) *Prefetcher {
 		panic(err)
 	}
 	p := &Prefetcher{
-		cfg:   cfg,
-		ghb:   make([]ghbEntry, cfg.GHBEntries),
-		index: make([]indexEntry, cfg.IndexEntries),
+		cfg:     cfg,
+		ghb:     make([]ghbEntry, cfg.GHBEntries),
+		index:   make([]indexEntry, cfg.IndexEntries),
+		targets: make([]uint64, 0, cfg.Degree),
 	}
 	for i := range p.ghb {
 		p.ghb[i].prev = -1
@@ -106,22 +108,24 @@ func (p *Prefetcher) indexSlot(pc uint64) int {
 	return int(h & uint64(p.cfg.IndexEntries-1))
 }
 
-// history walks the link chain for pc's slot and returns up to max most
-// recent miss addresses (newest first), starting from the just-inserted one.
-func (p *Prefetcher) history(start int, max int) []uint64 {
-	addrs := make([]uint64, 0, max)
+// history walks the link chain from the just-inserted GHB entry start and
+// returns this PC's most recent miss addresses, newest first (h[0] is the
+// current miss), and how many of them are still in the buffer. Three is
+// all the delta match reads: two deltas.
+func (p *Prefetcher) history(start int) (h [3]uint64, n int) {
 	pos := start
-	var expect uint64 = p.ghb[start].seq
-	for pos >= 0 && len(addrs) < max {
-		e := p.ghb[pos]
+	expect := p.ghb[start].seq
+	for pos >= 0 && n < len(h) {
+		e := &p.ghb[pos]
 		if e.seq != expect {
 			break // FIFO overwrote this link target
 		}
-		addrs = append(addrs, e.addr)
+		h[n] = e.addr
+		n++
 		pos = e.prev
 		expect = e.pseq
 	}
-	return addrs
+	return h, n
 }
 
 // OnMiss records a demand miss (block-aligned address) for the given load
@@ -129,6 +133,16 @@ func (p *Prefetcher) history(start int, max int) []uint64 {
 // Local delta correlation: the deltas between this PC's recent misses are
 // matched and extended; when no correlated pattern exists the prefetcher
 // falls back to next-line.
+//
+// The result is the prefetcher's own buffer: it is valid only until the
+// next OnMiss or Reset call, so a caller that keeps it must copy it.
+//
+// Each target run is an arithmetic progression from blockAddr, so it holds
+// no duplicate and never blockAddr itself. The delta run steps by d1 != 0
+// and stops at its first negative value, so it never wraps. The next-line
+// run steps by BlockBytes and can only wrap back onto blockAddr when
+// Degree*BlockBytes spans the whole 64-bit space; it stops there, because
+// every later step repeats an earlier target.
 func (p *Prefetcher) OnMiss(pc, blockAddr uint64) []uint64 {
 	p.stats.Misses++
 	slot := p.indexSlot(pc)
@@ -150,20 +164,12 @@ func (p *Prefetcher) OnMiss(pc, blockAddr uint64) []uint64 {
 		return nil
 	}
 
-	hist := p.history(inserted, 4) // newest first: current, m1, m2, m3
-	targets := make([]uint64, 0, p.cfg.Degree)
-	seen := map[uint64]bool{blockAddr: true}
-	add := func(a uint64) {
-		if !seen[a] && len(targets) < p.cfg.Degree {
-			seen[a] = true
-			targets = append(targets, a)
-		}
-	}
-
-	if len(hist) >= 2 {
+	hist, n := p.history(inserted)
+	targets := p.targets[:0]
+	if n >= 2 {
 		d1 := int64(hist[0]) - int64(hist[1])
 		matched := false
-		if len(hist) >= 3 {
+		if n >= 3 {
 			d2 := int64(hist[1]) - int64(hist[2])
 			matched = d1 == d2 && d1 != 0
 		} else {
@@ -177,7 +183,7 @@ func (p *Prefetcher) OnMiss(pc, blockAddr uint64) []uint64 {
 				if next < 0 {
 					break
 				}
-				add(uint64(next))
+				targets = append(targets, uint64(next))
 			}
 		}
 	}
@@ -187,7 +193,10 @@ func (p *Prefetcher) OnMiss(pc, blockAddr uint64) []uint64 {
 		next := blockAddr
 		for i := 0; i < p.cfg.Degree; i++ {
 			next += uint64(p.cfg.BlockBytes)
-			add(next)
+			if next == blockAddr {
+				break
+			}
+			targets = append(targets, next)
 		}
 	}
 	p.stats.Issued += uint64(len(targets))
