@@ -369,17 +369,6 @@ func BenchmarkGridReplay(b *testing.B) {
 	}
 }
 
-func BenchmarkFullSystemReplay(b *testing.B) {
-	sw := lva.NewSwaptions()
-	sw.NSwaptions, sw.Paths = 4, 50
-	tr := lva.CaptureTrace(sw, 42)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		lva.NewSystem(lva.DefaultSystemConfig()).Run(tr)
-	}
-}
-
 // ---------------------------------------------------------------------------
 // Phase-2 benchmarks: the full-system model's per-access layers. NoCSend
 // and DirectoryStore allocate nothing, so benchdiff fails them as soon as

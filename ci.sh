@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # ci.sh — the repository's full verification gate. Run it locally before
-# pushing; .github/workflows/ci.yml runs the same steps.
+# pushing; .github/workflows/ci.yml runs this script as its gate step.
 #
 #   build  — go build ./...
 #   vet    — go vet ./...

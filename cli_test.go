@@ -123,33 +123,73 @@ func TestLvasimRejectsOutOfRangeFlags(t *testing.T) {
 	}
 }
 
+// recordSwaptions records swaptions' precise grid stream into a fresh
+// directory with lvatrace record and returns the file's path.
+func recordSwaptions(t *testing.T, bin string) string {
+	t.Helper()
+	dir := t.TempDir()
+	out, stderr, err := runCLI(t, bin, "record", "-bench", "swaptions", "-dir", dir)
+	if err != nil {
+		t.Fatalf("record: %v\n%s%s", err, out, stderr)
+	}
+	paths, err := filepath.Glob(filepath.Join(dir, "*.lvag"))
+	if err != nil || len(paths) != 1 {
+		t.Fatalf("record left %v (err %v), want one .lvag file", paths, err)
+	}
+	return paths[0]
+}
+
 func TestLvatraceCaptureInfoReplay(t *testing.T) {
 	bin := buildCLI(t, "lvatrace")
-	dir := t.TempDir()
-	tracePath := filepath.Join(dir, "sw.lvat")
+	path := recordSwaptions(t, bin)
 
-	out, _, err := runCLI(t, bin, "-capture", "swaptions", "-o", tracePath)
+	out, stderr, err := runCLI(t, bin, "stat", "-decode", path)
 	if err != nil {
-		t.Fatalf("capture: %v\n%s", err, out)
+		t.Fatalf("stat: %v\n%s", err, stderr)
 	}
-	if _, err := os.Stat(tracePath); err != nil {
-		t.Fatalf("trace file missing: %v", err)
-	}
-
-	out, _, err = runCLI(t, bin, "-info", tracePath)
-	if err != nil {
-		t.Fatalf("info: %v", err)
-	}
-	if !strings.Contains(out, "4 threads") || !strings.Contains(out, "approximate=") {
-		t.Fatalf("info output:\n%s", out)
+	if !strings.Contains(out, "threads=4") || !strings.Contains(out, "approxLoads=") {
+		t.Fatalf("stat output:\n%s", out)
 	}
 
-	out, _, err = runCLI(t, bin, "-replay", tracePath, "-degree", "4")
+	out, stderr, err = runCLI(t, bin, "replay", "-degree", "4", path)
 	if err != nil {
-		t.Fatalf("replay: %v", err)
+		t.Fatalf("replay: %v\n%s", err, stderr)
 	}
 	if !strings.Contains(out, "lva degree 4") || !strings.Contains(out, "cycles=") {
 		t.Fatalf("replay output:\n%s", out)
+	}
+}
+
+// TestLvatraceReplayRejectsBadInput feeds replay files it cannot use: each
+// must fail with exit status 1 and an lvatrace: message, never a panic.
+func TestLvatraceReplayRejectsBadInput(t *testing.T) {
+	bin := buildCLI(t, "lvatrace")
+	data, err := os.ReadFile(recordSwaptions(t, bin))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	corrupt := append([]byte(nil), data...)
+	copy(corrupt[8:16], bytes.Repeat([]byte{0xff}, 8)) // first chunk header; the footer still reads
+	files := map[string][]byte{
+		"truncated.lvag": data[:len(data)/2],
+		"corrupt.lvag":   corrupt,
+		"text.lvag":      []byte("this is a text file, not a grid recording\n"),
+	}
+	for name, b := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, name := range []string{"truncated.lvag", "corrupt.lvag", "text.lvag", "missing.lvag"} {
+		_, stderr, err := runCLI(t, bin, "replay", filepath.Join(dir, name))
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+			t.Errorf("%s: err = %v, want exit status 1", name, err)
+		}
+		if !strings.Contains(stderr, "lvatrace: ") || strings.Contains(stderr, "panic:") {
+			t.Errorf("%s: stderr = %q, want an lvatrace: message and no panic", name, stderr)
+		}
 	}
 }
 

@@ -1,14 +1,12 @@
-// Command lvatrace captures, inspects and replays the memory-access traces
-// that connect the phase-1 (Pin-like) simulator to the phase-2 full-system
-// simulator, and manages the record-once grid streams the experiment
-// drivers replay across the design grid.
+// Command lvatrace records, inspects and replays the grid streams (LVAG
+// files) that connect the phase-1 (Pin-like) simulator to the phase-2
+// full-system simulator and that the experiment drivers replay across the
+// design grid.
 //
-//	lvatrace record -bench canneal -dir traces    # record a grid stream
-//	lvatrace stat traces/<hash>.lvag              # summarize a grid stream
-//
-//	lvatrace -capture canneal -o canneal.lvat     # record a 4-thread trace
-//	lvatrace -info canneal.lvat                   # summarize a trace file
-//	lvatrace -replay canneal.lvat -degree 4       # full-system replay
+//	lvatrace record -bench canneal -dir traces           # record a grid stream
+//	lvatrace stat -decode traces/<hash>.lvag             # summarize and verify it
+//	lvatrace replay -degree 4 traces/<hash>.lvag         # full-system replay
+//	lvatrace phases traces/<hash>.lvag                   # offline phase profile
 package main
 
 import (
@@ -28,60 +26,22 @@ import (
 )
 
 func main() {
-	if len(os.Args) > 1 {
-		switch os.Args[1] {
-		case "record":
-			if err := cmdRecord(os.Args[2:]); err != nil {
-				fail(err)
-			}
-			return
-		case "stat":
-			if err := cmdStat(os.Args[2:]); err != nil {
-				fail(err)
-			}
-			return
-		case "phases":
-			if err := cmdPhases(os.Args[2:]); err != nil {
-				fail(err)
-			}
-			return
-		}
+	cmds := map[string]func([]string) error{
+		"record": cmdRecord,
+		"stat":   cmdStat,
+		"replay": cmdReplay,
+		"phases": cmdPhases,
 	}
-
-	var (
-		capture = flag.String("capture", "", "benchmark to capture a trace from")
-		out     = flag.String("o", "", "output trace file (with -capture)")
-		info    = flag.String("info", "", "trace file to summarize")
-		replay  = flag.String("replay", "", "trace file to replay in the full-system simulator")
-		degree  = flag.Int("degree", 0, "approximation degree for -replay (-1 = precise)")
-		seed    = flag.Uint64("seed", experiments.DefaultSeed, "workload input seed")
-	)
-	flag.Usage = func() {
-		w := flag.CommandLine.Output()
-		fmt.Fprintln(w, "usage: lvatrace record|stat|phases ... (grid streams) or flags (flat traces):")
-		fmt.Fprintln(w, "  lvatrace record -bench <name|all> [-kind precise|lvabase] [-dir d] [-seed n]")
-		fmt.Fprintln(w, "  lvatrace stat <file.lvag ...> [-decode]")
-		fmt.Fprintln(w, "  lvatrace phases <file.lvag ...> [-window n] [-json]")
-		flag.PrintDefaults()
-	}
-	flag.Parse()
-
-	switch {
-	case *capture != "":
-		if err := doCapture(*capture, *out, *seed); err != nil {
-			fail(err)
-		}
-	case *info != "":
-		if err := doInfo(*info); err != nil {
-			fail(err)
-		}
-	case *replay != "":
-		if err := doReplay(*replay, *degree); err != nil {
-			fail(err)
-		}
-	default:
-		flag.Usage()
+	if len(os.Args) < 2 || cmds[os.Args[1]] == nil {
+		fmt.Fprintln(os.Stderr, "usage:")
+		fmt.Fprintln(os.Stderr, "  lvatrace record -bench <name|all> [-kind precise|lvabase] [-dir d] [-seed n]")
+		fmt.Fprintln(os.Stderr, "  lvatrace stat [-decode] <file.lvag ...>")
+		fmt.Fprintln(os.Stderr, "  lvatrace replay [-degree n] <file.lvag>")
+		fmt.Fprintln(os.Stderr, "  lvatrace phases [-window n] [-json] <file.lvag ...>")
 		os.Exit(2)
+	}
+	if err := cmds[os.Args[1]](os.Args[2:]); err != nil {
+		fail(err)
 	}
 }
 
@@ -165,7 +125,7 @@ func statGrid(path string, decode bool) error {
 	if hdr.Accesses > 0 {
 		perAccess = float64(size) / float64(hdr.Accesses)
 	}
-	fmt.Printf("  chunks=%d fileSize=%s (%.2f bytes/access; flat encoding is 30)\n",
+	fmt.Printf("  chunks=%d fileSize=%s (%.2f bytes/access)\n",
 		hdr.Chunks, byteSize(size), perAccess)
 	if len(hdr.Meta) > 0 {
 		fmt.Printf("  footer meta: %s\n", strings.TrimSpace(string(hdr.Meta)))
@@ -228,8 +188,6 @@ func statGrid(path string, decode bool) error {
 		fmt.Printf("  chunk sizes: min=%s mean=%s max=%s (%d chunks, framing included)\n",
 			byteSize(int64(minChunk)), byteSize(int64(mean)), byteSize(int64(maxChunk)), chunks)
 		fmt.Printf("  bytes/access: min=%.2f mean=%.2f max=%.2f per chunk\n", minPer, per, maxPer)
-		fmt.Printf("  compression: %.2fx vs flat 30 B/access (%s vs %s)\n",
-			30/per, byteSize(int64(decAccesses*30)), byteSize(int64(decBytes)))
 	}
 	return nil
 }
@@ -340,67 +298,43 @@ func byteSize(n int64) string {
 	return fmt.Sprintf("%d B", n)
 }
 
-func doCapture(bench, out string, seed uint64) error {
-	w, err := workloads.ByName(bench)
+// cmdReplay streams one grid recording through the full-system model,
+// precisely (-degree -1) or with LVA at the given approximation degree.
+func cmdReplay(args []string) error {
+	fs := flag.NewFlagSet("lvatrace replay", flag.ExitOnError)
+	degree := fs.Int("degree", 0, "approximation degree (-1 = precise)")
+	fs.Parse(args)
+	if fs.NArg() != 1 {
+		return fmt.Errorf("replay: want one file after the flags, got %q", fs.Args())
+	}
+	path := fs.Arg(0)
+	hdr, _, err := gridFooter(path)
 	if err != nil {
-		return err
+		return fmt.Errorf("%s: %w", path, err)
 	}
-	tr := experiments.CaptureTrace(w, seed)
-	if out == "" {
-		out = bench + ".lvat"
+	cfg := fullsys.DefaultConfig()
+	label := "precise"
+	if *degree >= 0 {
+		acfg := core.DefaultConfig()
+		acfg.Degree = *degree
+		acfg.ValueDelay = 1
+		cfg.Approx = &acfg
+		label = fmt.Sprintf("lva degree %d", *degree)
 	}
-	f, err := os.Create(out)
+	f, err := os.Open(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	if err := trace.Write(f, tr); err != nil {
-		return err
-	}
-	fmt.Printf("captured %d accesses (%d threads) to %s\n", tr.Len(), tr.Threads(), out)
-	return nil
-}
-
-func doInfo(path string) error {
-	tr, err := readTrace(path)
+	gr, err := trace.NewGridReader(bufio.NewReaderSize(f, 1<<16))
 	if err != nil {
-		return err
+		return fmt.Errorf("%s: %w", path, err)
 	}
-	var loads, stores, approx uint64
-	pcs := map[uint64]struct{}{}
-	for _, a := range tr.Accesses {
-		if a.Op == trace.Store {
-			stores++
-		} else {
-			loads++
-		}
-		if a.Approx {
-			approx++
-			pcs[a.PC] = struct{}{}
-		}
-	}
-	fmt.Printf("trace %q: %d accesses, %d threads\n", tr.Name, tr.Len(), tr.Threads())
-	fmt.Printf("  loads=%d stores=%d approximate=%d staticApproxPCs=%d\n",
-		loads, stores, approx, len(pcs))
-	return nil
-}
-
-func doReplay(path string, degree int) error {
-	tr, err := readTrace(path)
+	r, err := fullsys.New(cfg).RunStream(hdr.Threads, gr)
 	if err != nil {
-		return err
+		return fmt.Errorf("%s: %w", path, err)
 	}
-	cfg := fullsys.DefaultConfig()
-	label := "precise"
-	if degree >= 0 {
-		acfg := core.DefaultConfig()
-		acfg.Degree = degree
-		acfg.ValueDelay = 1
-		cfg.Approx = &acfg
-		label = fmt.Sprintf("lva degree %d", degree)
-	}
-	r := fullsys.New(cfg).Run(tr)
-	fmt.Printf("replay %q (%s):\n", tr.Name, label)
+	fmt.Printf("replay %q (%s):\n", hdr.Name, label)
 	fmt.Printf("  cycles=%d IPC=%.3f misses=%d covered=%d fetches=%d\n",
 		r.Cycles, r.IPC(), r.L1LoadMisses, r.Covered, r.Fetches)
 	fmt.Printf("  L2acc=%d dram=%d flitHops=%d invals=%d flushes=%d\n",
@@ -408,13 +342,4 @@ func doReplay(path string, degree int) error {
 	fmt.Printf("  avgServiceLat=%.1f avgExposedMissLat=%.1f energy=%.3g pJ missEDP=%.3g\n",
 		r.AvgServiceLatency(), r.AvgExposedMissLatency(), r.Energy.TotalPJ(), r.MissEDP())
 	return nil
-}
-
-func readTrace(path string) (*trace.Trace, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return trace.Read(f)
 }

@@ -111,26 +111,26 @@ func TestFig1Shape(t *testing.T) {
 	}
 }
 
-// TestCaptureTraceShape validates the phase-1 -> phase-2 hand-off.
+// TestCaptureTraceShape validates the phase-1 -> phase-2 hand-off: the
+// precise recording's footer.
 func TestCaptureTraceShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full workload run")
 	}
+	ResetRunCache()
+	defer ResetRunCache()
 	w, _ := workloads.ByName("swaptions")
-	tr := CaptureTrace(w, DefaultSeed)
-	if tr.Len() == 0 {
-		t.Fatal("empty trace")
+	st := ensureStream(streamPrecise, w, DefaultSeed)
+	if st.path == "" {
+		t.Fatal("recording failed")
 	}
-	if tr.Threads() != 4 {
-		t.Fatalf("threads = %d, want 4", tr.Threads())
+	if st.hdr.Accesses == 0 {
+		t.Fatal("empty recording")
 	}
-	approx := 0
-	for _, a := range tr.Accesses {
-		if a.Approx {
-			approx++
-		}
+	if st.hdr.Threads != 4 {
+		t.Fatalf("threads = %d, want 4", st.hdr.Threads)
 	}
-	if approx == 0 {
-		t.Fatal("trace must mark approximate loads")
+	if st.hdr.ApproxLoads == 0 {
+		t.Fatal("recording must mark approximate loads")
 	}
 }

@@ -2,13 +2,13 @@ package experiments
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"os"
 	"strconv"
 	"sync"
 
 	"lva/internal/fullsys"
-	"lva/internal/memsim"
 	"lva/internal/obs/prov"
 	"lva/internal/trace"
 	"lva/internal/workloads"
@@ -17,77 +17,71 @@ import (
 // fullsysDegrees are the approximation degrees swept in Figures 10 and 11.
 var fullsysDegrees = []int{0, 2, 4, 8, 16}
 
-// CaptureTrace runs a workload precisely under the phase-1 simulator and
-// records its 4-thread access trace for phase-2 replay, mirroring the
-// paper's methodology (approximation is applied during replay, where the
-// paper notes instruction streams vary by at most ~2.4%). The capture
-// buffer is preallocated from the access count of a precise run — served
-// by the run cache, so it costs at most one extra simulation process-wide
-// and is free whenever the figures needed the precise point anyway.
-func CaptureTrace(w workloads.Workload, seed uint64) *trace.Trace {
-	n := RunPrecise(w, seed).Sim
-	cfg := memsim.DefaultConfig()
-	cfg.Attach = memsim.AttachNone
-	sim := memsim.New(cfg)
-	sim.CaptureSized(w.Name(), int(n.Loads+n.Stores))
-	w.Run(sim, seed)
-	return sim.TakeTrace()
-}
-
 // fullsysRun is one phase-2 replay result.
 type fullsysRun struct {
 	precise fullsys.Result
 	byDeg   map[int]fullsys.Result
 }
 
-type traceCell struct {
-	once sync.Once
-	tr   *trace.Trace
-}
-
-var traceCells sync.Map // workload name -> *traceCell
-
-// cachedTrace memoizes the phase-1 capture per workload and process.
-func cachedTrace(w workloads.Workload) *trace.Trace {
-	c, _ := traceCells.LoadOrStore(w.Name(), &traceCell{})
-	cell := c.(*traceCell)
-	cell.once.Do(func() { cell.tr = CaptureTrace(w, DefaultSeed) })
-	return cell.tr
-}
-
-// runFullsys runs one phase-2 configuration for w. With replay enabled it
-// streams the recorded precise grid trace from disk chunk by chunk —
-// fullsys never holds the flat trace in memory — and falls back to the
-// materialized in-memory capture when no recording is available.
+// runFullsys runs one phase-2 configuration for w by streaming the recorded
+// precise grid trace from disk chunk by chunk. With no readable recording
+// (no writable trace directory, or a chunk that fails to decode) it falls
+// back to RunFullSystem, which records the stream again in memory; it
+// panics only if that fallback fails, which only a bug can cause.
 func runFullsys(w workloads.Workload, cfg fullsys.Config) fullsys.Result {
 	pc := provBegin(0)
 	label := "precise"
 	if cfg.Approx != nil {
 		label = "lva-d" + strconv.Itoa(cfg.Approx.Degree)
 	}
-	if replayEnabled() {
-		if st := ensureStream(streamPrecise, w, DefaultSeed); st.path != "" {
-			if r, err := streamFullsys(cfg, st); err == nil {
-				if pc.on() {
-					key := runKey("fullsys", w, label, DefaultSeed)
-					pc.point("fullsys", w.Name()+"/"+label, "fullsys", prov.RouteReplay,
-						prov.CounterNone, provWhyStream, key, st, provStagesStream, "")
-					pc.stage("fullsys "+w.Name()+"/"+label, "f", st.hdr.Key,
-						map[string]any{"route": "replay", "workload": w.Name()})
-				}
-				return r
+	if st := ensureStream(streamPrecise, w, DefaultSeed); st.path != "" {
+		if r, err := streamFullsys(cfg, st); err == nil {
+			if pc.on() {
+				key := runKey("fullsys", w, label, DefaultSeed)
+				pc.point("fullsys", w.Name()+"/"+label, "fullsys", prov.RouteReplay,
+					prov.CounterNone, provWhyStream, key, st, provStagesStream, "")
+				pc.stage("fullsys "+w.Name()+"/"+label, "f", st.hdr.Key,
+					map[string]any{"route": "replay", "workload": w.Name()})
 			}
+			return r
 		}
 	}
-	r := fullsys.New(cfg).Run(cachedTrace(w))
+	r, err := RunFullSystem(w, DefaultSeed, cfg)
+	if err != nil {
+		panic(fmt.Sprintf("experiments: in-memory phase-2 fallback for %s/%s: %v", w.Name(), label, err))
+	}
 	if pc.on() {
 		key := runKey("fullsys", w, label, DefaultSeed)
 		pc.point("fullsys", w.Name()+"/"+label, "fullsys", prov.RouteExec,
-			prov.CounterNone, provWhyCapture, key, nil, provStagesRunExec, "")
+			prov.CounterNone, provWhyMemRecord, key, nil, provStagesRunExec, "")
 		pc.stage("fullsys "+w.Name()+"/"+label, "", "",
 			map[string]any{"route": "exec", "workload": w.Name()})
 	}
 	return r
+}
+
+// RunFullSystem runs w precisely under the phase-1 simulator, recording its
+// 4-thread access stream into an in-memory grid trace, and replays that
+// stream in the phase-2 model under cfg — the paper's two-phase methodology
+// (approximation is applied during replay, where the paper notes
+// instruction streams vary by at most ~2.4%). It memoizes nothing: every
+// call executes the kernel once. An invalid cfg is reported before the
+// kernel runs.
+func RunFullSystem(w workloads.Workload, seed uint64, cfg fullsys.Config) (fullsys.Result, error) {
+	if err := cfg.Validate(); err != nil {
+		return fullsys.Result{}, err
+	}
+	key, _, _, mcfg := streamSpec(streamPrecise, w, seed)
+	var buf bytes.Buffer
+	_, hdr, err := writeStream(w, mcfg, seed, key, &buf)
+	if err != nil {
+		return fullsys.Result{}, err
+	}
+	gr, err := trace.NewGridReader(&buf)
+	if err != nil {
+		return fullsys.Result{}, err
+	}
+	return fullsys.New(cfg).RunStream(hdr.Threads, gr)
 }
 
 func streamFullsys(cfg fullsys.Config, st *gridStream) (fullsys.Result, error) {

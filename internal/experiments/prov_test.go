@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"os"
+	"path/filepath"
+	"reflect"
 	"testing"
 
 	"lva/internal/memsim"
@@ -286,5 +288,87 @@ func TestTraceStoreCorruptChunkFallsBackToExec(t *testing.T) {
 	}
 	if !found {
 		t.Error("no provenance record justifying the exec fallback (want why=replay failed)")
+	}
+}
+
+// TestFullSystemFallsBackWithoutRecording covers phase 2's failure path.
+// When the precise recording fails mid-decode (a corrupt chunk under a
+// valid footer) or cannot be written at all (a trace directory that cannot
+// be created), Figures 10 and 11 must still get exactly the healthy-store
+// results, through RunFullSystem's in-memory recording, and provenance
+// must show those points on the exec route.
+func TestFullSystemFallsBackWithoutRecording(t *testing.T) {
+	t.Setenv("LVA_TRACE_DIR", t.TempDir())
+	ResetRunCache()
+	defer ResetRunCache()
+	w, err := workloads.ByName("swaptions")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantPrecise, want4 := FullSystemResult(w, 4)
+	st := ensureStream(streamPrecise, w, DefaultSeed)
+	if st.path == "" {
+		t.Fatal("recording failed")
+	}
+	blocker := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(blocker, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	cases := []struct {
+		name  string
+		setup func(t *testing.T)
+	}{
+		{"corrupt chunk", func(t *testing.T) {
+			// As in TestTraceStoreCorruptChunkFallsBackToExec: the first
+			// chunk header goes, the footer still reads.
+			f, err := os.OpenFile(st.path, os.O_WRONLY, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.WriteAt(bytes.Repeat([]byte{0xff}, 8), 8); err != nil {
+				t.Fatal(err)
+			}
+			if err := f.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"uncreatable trace dir", func(t *testing.T) {
+			t.Setenv("LVA_TRACE_DIR", filepath.Join(blocker, "traces"))
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			ResetRunCache()
+			c.setup(t)
+			EnableProvenance()
+			defer DisableProvenance()
+
+			precise, got4 := FullSystemResult(w, 4)
+			if !reflect.DeepEqual(precise, wantPrecise) {
+				t.Errorf("precise fallback differs from the healthy store:\nwant %+v\ngot  %+v", wantPrecise, precise)
+			}
+			if !reflect.DeepEqual(got4, want4) {
+				t.Errorf("degree-4 fallback differs from the healthy store:\nwant %+v\ngot  %+v", want4, got4)
+			}
+
+			_, m := provManifest(t)
+			if problems := m.Validate(); len(problems) != 0 {
+				t.Errorf("manifest does not reconcile:\n%v", problems)
+			}
+			var exec uint64
+			for _, r := range m.Records {
+				if r.Figure != "fullsys" {
+					continue
+				}
+				if r.Route != string(prov.RouteExec) || r.Why != provWhyMemRecord {
+					t.Errorf("fullsys record %s on route %s (%s), want exec (%s)", r.Label, r.Route, r.Why, provWhyMemRecord)
+				}
+				exec += r.Count
+			}
+			if want := uint64(1 + len(fullsysDegrees)); exec != want {
+				t.Errorf("%d fullsys points on route exec, want %d", exec, want)
+			}
+		})
 	}
 }

@@ -87,7 +87,7 @@ const (
 	provWhyOutputRow    = "output-error row: kernel arithmetic required"
 	provWhySweepExec    = "sweep point needs output error or feedback kernel; executed"
 	provWhyStream       = "phase-2 model streams the precise recording"
-	provWhyCapture      = "no recording available; replayed in-memory capture"
+	provWhyMemRecord    = "no readable recording; re-recorded in memory and streamed"
 )
 
 // Span stage paths, shared so records allocate no per-emit slices.

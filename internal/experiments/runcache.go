@@ -136,7 +136,7 @@ func RunCacheCounters() RunCacheStats {
 func SetRunCacheEnabled(on bool) { runCacheOff.Store(!on) }
 
 // ResetRunCache drops every memoized run — phase-1 results, grid-trace
-// recordings, captured phase-2 traces and full-system replays — and zeroes
+// recordings, replayed counter points and full-system sweeps — and zeroes
 // the counters, restoring process-cold behaviour. (Recordings in an
 // explicit SetTraceDir/LVA_TRACE_DIR store survive; the per-process temp
 // store is deleted.) It is intended for tests and benchmarks and must not
@@ -145,10 +145,6 @@ func ResetRunCache() {
 	resetTraceStore()
 	runCells.Range(func(k, _ any) bool {
 		runCells.Delete(k)
-		return true
-	})
-	traceCells.Range(func(k, _ any) bool {
-		traceCells.Delete(k)
 		return true
 	})
 	fsCells.Range(func(k, _ any) bool {

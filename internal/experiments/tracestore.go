@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -303,23 +304,45 @@ func EnsureGridStream(kind string, w workloads.Workload, seed uint64) (string, e
 // file). The returned RunResult is always valid — a persistence failure
 // only costs the recording, never the simulation.
 func recordStream(w workloads.Workload, cfg memsim.Config, seed uint64, key, path string) (RunResult, trace.GridHeader, error) {
-	var (
-		f   *os.File
-		bw  *bufio.Writer
-		gw  *trace.GridWriter
-		err error
-	)
+	var f *os.File
+	err := errors.New("experiments: no trace directory")
 	if path != "" {
 		f, err = os.CreateTemp(filepath.Dir(path), ".lvag-*")
-		if err == nil {
-			bw = bufio.NewWriterSize(f, 1<<16)
-			gw = trace.NewGridWriter(bw, w.Name(), key, seed)
-		}
-	} else {
-		err = fmt.Errorf("experiments: no trace directory")
 	}
+	if err != nil {
+		res, _, _ := writeStream(w, cfg, seed, key, nil)
+		return res, trace.GridHeader{}, err
+	}
+	bw := bufio.NewWriterSize(f, 1<<16)
+	res, hdr, err := writeStream(w, cfg, seed, key, bw)
+	if err == nil {
+		err = bw.Flush()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(f.Name(), path)
+	}
+	if err != nil {
+		os.Remove(f.Name())
+		return res, trace.GridHeader{}, err
+	}
+	traceStats.recordings.Add(1)
+	return res, hdr, nil
+}
 
+// writeStream executes the kernel and, when dst is non-nil, streams its
+// annotated accesses into dst as a grid recording keyed by key, with the
+// run's memsim.Result in the footer. The RunResult is valid whatever the
+// error says: a failed write only costs the recording.
+func writeStream(w workloads.Workload, cfg memsim.Config, seed uint64, key string, dst io.Writer) (RunResult, trace.GridHeader, error) {
 	sim := memsim.New(cfg)
+	var gw *trace.GridWriter
+	if dst != nil {
+		gw = trace.NewGridWriter(dst, w.Name(), key, seed)
+		sim.SetGridCapture(gw)
+	}
 	rec := attrRecorder(w, cfg, seed)
 	if rec != nil {
 		sim.SetAttribution(rec)
@@ -330,9 +353,6 @@ func recordStream(w workloads.Workload, cfg memsim.Config, seed uint64, key, pat
 		sim.SetPhaseProfile(pp)
 		ppStart = time.Now()
 	}
-	if gw != nil {
-		sim.SetGridCapture(gw)
-	}
 	out := w.Run(sim, seed)
 	res := RunResult{Output: out, Sim: sim.Result()}
 	if rec != nil {
@@ -341,30 +361,14 @@ func recordStream(w workloads.Workload, cfg memsim.Config, seed uint64, key, pat
 	if pp != nil {
 		publishPhaseProfile(pp, ppStart)
 	}
-
-	var hdr trace.GridHeader
-	if gw != nil {
-		meta, merr := json.Marshal(res.Sim)
-		if merr == nil {
-			hdr, err = gw.Finish(res.Sim.Instructions, meta)
-		} else {
-			err = merr
-		}
-		if err == nil {
-			err = bw.Flush()
-		}
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err == nil {
-			err = os.Rename(f.Name(), path)
-		}
-		if err != nil {
-			os.Remove(f.Name())
-		} else {
-			traceStats.recordings.Add(1)
-		}
+	if gw == nil {
+		return res, trace.GridHeader{}, nil
 	}
+	meta, err := json.Marshal(res.Sim)
+	if err != nil {
+		return res, trace.GridHeader{}, err
+	}
+	hdr, err := gw.Finish(res.Sim.Instructions, meta)
 	return res, hdr, err
 }
 

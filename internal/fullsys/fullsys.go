@@ -268,7 +268,8 @@ type accessQueue struct {
 // peek returns the oldest queued access; the queue must be non-empty.
 func (q *accessQueue) peek() *trace.Access { return &q.head.accs[q.pos] }
 
-// Sim is the full-system simulator. Build with New, feed a trace with Run.
+// Sim is the full-system simulator. Build with New, feed a recording with
+// RunStream.
 type Sim struct {
 	cfg   Config
 	mesh  *noc.Mesh
@@ -330,63 +331,21 @@ func (s *Sim) newCores() []*coreState {
 	return cores
 }
 
-// Run replays the trace and returns the metrics. Each trace thread maps to
-// one core. Run may be called once per Sim.
-func (s *Sim) Run(tr *trace.Trace) Result {
-	cores := s.newCores()
-	// Count each core's share first so the per-core queues are allocated
-	// exactly once instead of growing through repeated copies of
-	// multi-million-access traces.
-	counts := make([]int, s.cfg.Cores)
-	for i := range tr.Accesses {
-		counts[int(tr.Accesses[i].Thread)%s.cfg.Cores]++
-	}
-	queues := make([][]trace.Access, s.cfg.Cores)
-	for i := range queues {
-		queues[i] = make([]trace.Access, 0, counts[i])
-	}
-	for _, a := range tr.Accesses {
-		i := int(a.Thread) % s.cfg.Cores
-		queues[i] = append(queues[i], a)
-	}
-
-	// Advance cores one access at a time, always the core whose next
-	// access will issue earliest (its current time plus the compute gap
-	// before the access). Shared-resource reservations (links, L2 banks,
-	// DRAM) then occur in near-global time order, which the monotonic
-	// busy-until contention model requires; residual leapfrogging from
-	// ROB/MSHR stalls is bounded by one miss latency.
-	for {
-		next := -1
-		var nextKey uint64
-		for i, q := range queues {
-			if len(q) == 0 {
-				continue
-			}
-			key := cores[i].cycleQ + uint64(q[0].Gap)
-			if next < 0 || key < nextKey {
-				next, nextKey = i, key
-			}
-		}
-		if next < 0 {
-			break
-		}
-		s.step(cores[next], &queues[next][0])
-		queues[next] = queues[next][1:]
-	}
-
-	return s.finish(cores)
-}
-
 // RunStream replays a grid stream chunk by chunk, never materializing the
 // whole trace. threads is the stream's thread count (GridHeader.Threads);
 // thread t maps to core t mod Cores, and a core participates when at
 // least one thread maps to it. Each core keeps a FIFO of decoded,
 // not-yet-simulated accesses, refilled from the source whenever a
-// participating core runs dry. The pick order — always the core whose next
-// access issues earliest — is identical to Run's, because before every pick
-// each participating core either has its true next access queued or the
-// stream is exhausted.
+// participating core runs dry.
+//
+// Cores advance one access at a time, always the core whose next access
+// will issue earliest (its current time plus the compute gap before the
+// access). Shared-resource reservations (links, L2 banks, DRAM) then occur
+// in near-global time order, which the monotonic busy-until contention
+// model requires; residual leapfrogging from ROB/MSHR stalls is bounded by
+// one miss latency. The order does not depend on where chunk boundaries
+// fall, because before every pick each participating core either has its
+// true next access queued or the stream is exhausted.
 //
 // What stays buffered is set by how the recording lays out its threads,
 // not by the chunk size. Interleaved threads (canneal) keep every queue a

@@ -1,6 +1,7 @@
 package fullsys
 
 import (
+	"io"
 	"testing"
 
 	"lva/internal/core"
@@ -8,12 +9,43 @@ import (
 	"lva/internal/value"
 )
 
+// oneChunk is a ChunkSource that yields its accesses as a single chunk.
+// RunStream reads only each access's Gap, so it supplies no instruction
+// indices.
+type oneChunk struct {
+	accs []trace.Access
+	done bool
+}
+
+func (c *oneChunk) Next() ([]trace.Access, []uint64, error) {
+	if c.done || len(c.accs) == 0 {
+		return nil, nil, io.EOF
+	}
+	c.done = true
+	return c.accs, nil, nil
+}
+
+// runStream streams accs through a fresh Sim as one chunk, declaring threads up
+// to the highest thread id present.
+func runStream(t *testing.T, cfg Config, accs []trace.Access) Result {
+	t.Helper()
+	threads := 0
+	for _, a := range accs {
+		threads = max(threads, int(a.Thread)+1)
+	}
+	r, err := New(cfg).RunStream(threads, &oneChunk{accs: accs})
+	if err != nil {
+		t.Fatalf("RunStream: %v", err)
+	}
+	return r
+}
+
 // mkTrace builds a single-thread trace of loads at the given block-aligned
 // addresses, all with value 10, optionally approximate.
-func mkTrace(addrs []uint64, gap uint32, approx bool) *trace.Trace {
-	tr := &trace.Trace{Name: "unit"}
+func mkTrace(addrs []uint64, gap uint32, approx bool) []trace.Access {
+	var tr []trace.Access
 	for _, a := range addrs {
-		tr.Append(trace.Access{
+		tr = append(tr, trace.Access{
 			PC: 0x400, Addr: a, Value: value.FromInt(10),
 			Gap: gap, Thread: 0, Op: trace.Load, Approx: approx,
 		})
@@ -52,7 +84,7 @@ func TestConfigValidate(t *testing.T) {
 }
 
 func TestEmptyTrace(t *testing.T) {
-	r := New(DefaultConfig()).Run(&trace.Trace{Name: "empty"})
+	r := runStream(t, DefaultConfig(), nil)
 	if r.Cycles != 0 || r.Instructions != 0 {
 		t.Fatalf("empty trace result = %+v", r)
 	}
@@ -65,7 +97,7 @@ func TestHitsAreFast(t *testing.T) {
 	for i := range addrs {
 		addrs[i] = 0x1000
 	}
-	r := New(DefaultConfig()).Run(mkTrace(addrs, 0, false))
+	r := runStream(t, DefaultConfig(), mkTrace(addrs, 0, false))
 	if r.L1LoadMisses != 1 {
 		t.Fatalf("misses = %d, want 1", r.L1LoadMisses)
 	}
@@ -81,7 +113,7 @@ func TestMissStallsWithROB(t *testing.T) {
 	for i := range addrs {
 		addrs[i] = uint64(0x10000 + i*64)
 	}
-	r := New(DefaultConfig()).Run(mkTrace(addrs, 0, false))
+	r := runStream(t, DefaultConfig(), mkTrace(addrs, 0, false))
 	if r.L1LoadMisses != 64 {
 		t.Fatalf("misses = %d", r.L1LoadMisses)
 	}
@@ -102,11 +134,11 @@ func TestCoveredMissesDontStall(t *testing.T) {
 	}
 	cfg := DefaultConfig()
 	cfg.Approx = approxCfg(0)
-	r := New(cfg).Run(mkTrace(addrs, 0, true))
+	r := runStream(t, cfg, mkTrace(addrs, 0, true))
 	if r.Covered < 150 {
 		t.Fatalf("covered = %d of %d misses", r.Covered, r.L1LoadMisses)
 	}
-	pr := New(DefaultConfig()).Run(mkTrace(addrs, 0, true))
+	pr := runStream(t, DefaultConfig(), mkTrace(addrs, 0, true))
 	if r.Cycles >= pr.Cycles {
 		t.Fatalf("LVA must be faster: %d vs %d cycles", r.Cycles, pr.Cycles)
 	}
@@ -120,7 +152,7 @@ func TestDegreeElidesTraffic(t *testing.T) {
 	run := func(deg int) Result {
 		cfg := DefaultConfig()
 		cfg.Approx = approxCfg(deg)
-		return New(cfg).Run(mkTrace(addrs, 0, true))
+		return runStream(t, cfg, mkTrace(addrs, 0, true))
 	}
 	d0, d16 := run(0), run(16)
 	if d16.Fetches >= d0.Fetches {
@@ -136,14 +168,14 @@ func TestDegreeElidesTraffic(t *testing.T) {
 }
 
 func TestStoresDoNotBlock(t *testing.T) {
-	tr := &trace.Trace{Name: "stores"}
+	var tr []trace.Access
 	for i := 0; i < 50; i++ {
-		tr.Append(trace.Access{
+		tr = append(tr, trace.Access{
 			PC: 0x500, Addr: uint64(0x2000 + i*64), Gap: 0,
 			Thread: 0, Op: trace.Store,
 		})
 	}
-	r := New(DefaultConfig()).Run(tr)
+	r := runStream(t, DefaultConfig(), tr)
 	if r.Stores != 50 {
 		t.Fatalf("stores = %d", r.Stores)
 	}
@@ -155,12 +187,12 @@ func TestStoresDoNotBlock(t *testing.T) {
 
 func TestCoherenceInvalidations(t *testing.T) {
 	// Two threads ping-pong a block: thread 0 stores, thread 1 loads.
-	tr := &trace.Trace{Name: "pingpong"}
+	var tr []trace.Access
 	for i := 0; i < 20; i++ {
-		tr.Append(trace.Access{PC: 0x600, Addr: 0x4000, Gap: 10, Thread: 0, Op: trace.Store})
-		tr.Append(trace.Access{PC: 0x604, Addr: 0x4000, Value: value.FromInt(1), Gap: 10, Thread: 1, Op: trace.Load})
+		tr = append(tr, trace.Access{PC: 0x600, Addr: 0x4000, Gap: 10, Thread: 0, Op: trace.Store})
+		tr = append(tr, trace.Access{PC: 0x604, Addr: 0x4000, Value: value.FromInt(1), Gap: 10, Thread: 1, Op: trace.Load})
 	}
-	r := New(DefaultConfig()).Run(tr)
+	r := runStream(t, DefaultConfig(), tr)
 	if r.Invalidations == 0 {
 		t.Fatal("write sharing must invalidate")
 	}
@@ -171,12 +203,12 @@ func TestCoherenceInvalidations(t *testing.T) {
 
 func TestMultiThreadMakespan(t *testing.T) {
 	// Thread 1 has far more work; the makespan must reflect it.
-	tr := &trace.Trace{Name: "skew"}
-	tr.Append(trace.Access{PC: 0x700, Addr: 0x8000, Value: value.FromInt(1), Gap: 5, Thread: 0, Op: trace.Load})
+	var tr []trace.Access
+	tr = append(tr, trace.Access{PC: 0x700, Addr: 0x8000, Value: value.FromInt(1), Gap: 5, Thread: 0, Op: trace.Load})
 	for i := 0; i < 50; i++ {
-		tr.Append(trace.Access{PC: 0x704, Addr: uint64(0x9000 + i*64), Value: value.FromInt(1), Gap: 1000, Thread: 1, Op: trace.Load})
+		tr = append(tr, trace.Access{PC: 0x704, Addr: uint64(0x9000 + i*64), Value: value.FromInt(1), Gap: 1000, Thread: 1, Op: trace.Load})
 	}
-	r := New(DefaultConfig()).Run(tr)
+	r := runStream(t, DefaultConfig(), tr)
 	// Thread 1 alone: >= 50 * 1000/4 cycles of compute.
 	if r.Cycles < 12000 {
 		t.Fatalf("makespan %d too small for thread 1's work", r.Cycles)
@@ -197,8 +229,8 @@ func TestMSHRBoundsOutstanding(t *testing.T) {
 	one.MSHRs = 1
 	eight := DefaultConfig()
 	eight.MSHRs = 8
-	r1 := New(one).Run(mkTrace(addrs, 0, false))
-	r8 := New(eight).Run(mkTrace(addrs, 0, false))
+	r1 := runStream(t, one, mkTrace(addrs, 0, false))
+	r8 := runStream(t, eight, mkTrace(addrs, 0, false))
 	if r1.Cycles <= r8.Cycles {
 		t.Fatalf("1 MSHR must be slower than 8: %d vs %d", r1.Cycles, r8.Cycles)
 	}
@@ -206,7 +238,7 @@ func TestMSHRBoundsOutstanding(t *testing.T) {
 
 func TestL2AndDRAMAccounting(t *testing.T) {
 	addrs := []uint64{0x10000, 0x20000, 0x30000}
-	r := New(DefaultConfig()).Run(mkTrace(addrs, 0, false))
+	r := runStream(t, DefaultConfig(), mkTrace(addrs, 0, false))
 	if r.L2Accesses < 3 {
 		t.Fatalf("every fetch visits the L2: %d", r.L2Accesses)
 	}
@@ -237,14 +269,14 @@ func TestResultDerivedMetrics(t *testing.T) {
 }
 
 func TestPerCoreStats(t *testing.T) {
-	tr := &trace.Trace{Name: "percore"}
+	var tr []trace.Access
 	for i := 0; i < 40; i++ {
-		tr.Append(trace.Access{
+		tr = append(tr, trace.Access{
 			PC: 0x700, Addr: uint64(0x9000 + i*64), Value: value.FromInt(1),
 			Gap: 100, Thread: uint8(i % 2), Op: trace.Load,
 		})
 	}
-	r := New(DefaultConfig()).Run(tr)
+	r := runStream(t, DefaultConfig(), tr)
 	if len(r.PerCore) != 4 {
 		t.Fatalf("per-core stats = %d entries", len(r.PerCore))
 	}
@@ -278,7 +310,7 @@ func TestValueDelayRealistic(t *testing.T) {
 	}
 	cfg := DefaultConfig()
 	cfg.Approx = approxCfg(0)
-	r := New(cfg).Run(mkTrace(addrs, 2, true))
+	r := runStream(t, cfg, mkTrace(addrs, 2, true))
 	if r.Covered == 0 {
 		t.Fatal("training must eventually enable coverage")
 	}

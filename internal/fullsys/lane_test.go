@@ -9,12 +9,12 @@ import (
 
 // laneTrace produces an approximate-load stream with enough distinct
 // blocks that training fetches keep flowing.
-func laneTrace(n int) *trace.Trace {
-	tr := &trace.Trace{Name: "lane"}
+func laneTrace(n int) []trace.Access {
+	var tr []trace.Access
 	for i := 0; i < n; i++ {
 		// Thread assignment is decorrelated from the block home so most
 		// fetches actually cross the mesh.
-		tr.Append(trace.Access{
+		tr = append(tr, trace.Access{
 			PC: 0x400, Addr: uint64(0x10000 + i*64), Value: value.FromInt(10),
 			Gap: 8, Thread: uint8((i / 8) % 4), Op: trace.Load, Approx: true,
 		})
@@ -29,8 +29,8 @@ func TestTrainingLaneMovesTrafficToLowPower(t *testing.T) {
 	laned := base
 	laned.TrainingLane = DefaultTrainingLane()
 
-	rBase := New(base).Run(laneTrace(400))
-	rLane := New(laned).Run(laneTrace(400))
+	rBase := runStream(t, base, laneTrace(400))
+	rLane := runStream(t, laned, laneTrace(400))
 
 	if rLane.LowPowerFlitHops == 0 {
 		t.Fatal("training fetches must ride the low-power lane")
@@ -60,8 +60,8 @@ func TestTrainingLaneDoesNotStallCores(t *testing.T) {
 	laned := base
 	laned.TrainingLane = DefaultTrainingLane()
 
-	rBase := New(base).Run(laneTrace(400))
-	rLane := New(laned).Run(laneTrace(400))
+	rBase := runStream(t, base, laneTrace(400))
+	rLane := runStream(t, laned, laneTrace(400))
 	// This trace is deliberately MSHR-bound (a miss every few cycles with
 	// only 8 MSHRs), so slower training fetches shave some throughput via
 	// MSHR turnaround; the slowdown must stay mild. Real workloads, with
@@ -76,7 +76,7 @@ func TestTrainingLaneDoesNotStallCores(t *testing.T) {
 	// than the occupancy bound.
 	extreme := base
 	extreme.TrainingLane = &TrainingLaneConfig{RouterCycles: 30, ExtraLatency: 500}
-	rExtreme := New(extreme).Run(laneTrace(400))
+	rExtreme := runStream(t, extreme, laneTrace(400))
 	if rExtreme.Cycles > rBase.Cycles*2 {
 		t.Fatalf("even an extreme lane is bounded by MSHR turnaround: %d vs %d cycles",
 			rExtreme.Cycles, rBase.Cycles)
@@ -91,7 +91,7 @@ func TestDemandFetchesStayOnFastLane(t *testing.T) {
 	for i := range addrs {
 		addrs[i] = uint64(0x20000 + i*64)
 	}
-	r := New(cfg).Run(mkTrace(addrs, 4, false))
+	r := runStream(t, cfg, mkTrace(addrs, 4, false))
 	if r.LowPowerFlitHops != 0 {
 		t.Fatalf("demand fetches must not use the training lane: %d", r.LowPowerFlitHops)
 	}

@@ -60,21 +60,70 @@ func gridReader(t testing.TB, encoded []byte) *trace.GridReader {
 	return gr
 }
 
-// decodeFlat materializes a grid stream into the in-memory trace format.
-func decodeFlat(t testing.TB, encoded []byte) *trace.Trace {
+// decodeAll materializes a grid stream into one access slice.
+func decodeAll(t testing.TB, encoded []byte) []trace.Access {
 	t.Helper()
 	gr := gridReader(t, encoded)
-	flat := &trace.Trace{Name: "unit"}
+	var all []trace.Access
 	for {
 		accs, _, err := gr.Next()
 		if err == io.EOF {
-			return flat
+			return all
 		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		flat.Accesses = append(flat.Accesses, accs...)
+		all = append(all, accs...)
 	}
+}
+
+// refRun is the reference RunStream is checked against: it materializes the
+// whole stream into per-core queues up front, then replays it on s. Each
+// trace thread maps to one core. refRun may be called once per Sim.
+func refRun(s *Sim, accs []trace.Access) Result {
+	cores := s.newCores()
+	// Count each core's share first so the per-core queues are allocated
+	// exactly once instead of growing through repeated copies of
+	// multi-million-access traces.
+	counts := make([]int, s.cfg.Cores)
+	for i := range accs {
+		counts[int(accs[i].Thread)%s.cfg.Cores]++
+	}
+	queues := make([][]trace.Access, s.cfg.Cores)
+	for i := range queues {
+		queues[i] = make([]trace.Access, 0, counts[i])
+	}
+	for _, a := range accs {
+		i := int(a.Thread) % s.cfg.Cores
+		queues[i] = append(queues[i], a)
+	}
+
+	// Advance cores one access at a time, always the core whose next
+	// access will issue earliest (its current time plus the compute gap
+	// before the access). Shared-resource reservations (links, L2 banks,
+	// DRAM) then occur in near-global time order, which the monotonic
+	// busy-until contention model requires; residual leapfrogging from
+	// ROB/MSHR stalls is bounded by one miss latency.
+	for {
+		next := -1
+		var nextKey uint64
+		for i, q := range queues {
+			if len(q) == 0 {
+				continue
+			}
+			key := cores[i].cycleQ + uint64(q[0].Gap)
+			if next < 0 || key < nextKey {
+				next, nextKey = i, key
+			}
+		}
+		if next < 0 {
+			break
+		}
+		s.step(cores[next], &queues[next][0])
+		queues[next] = queues[next][1:]
+	}
+
+	return s.finish(cores)
 }
 
 // resplitSource re-chunks another ChunkSource: its chunks hold sizes[0],
@@ -132,7 +181,7 @@ func checkConservation(t *testing.T, r Result) {
 
 // TestRunStreamMatchesRun is the phase-2 streaming contract: chunked replay
 // through per-core queues must pick accesses in exactly the order the
-// materialized Run does, so every counter — cycles, traffic, energy — is
+// materialized refRun does, so every counter — cycles, traffic, energy — is
 // identical, for either thread layout and wherever the chunk boundaries
 // fall.
 func TestRunStreamMatchesRun(t *testing.T) {
@@ -149,14 +198,14 @@ func TestRunStreamMatchesRun(t *testing.T) {
 			if hdr.Chunks < 2 {
 				t.Fatalf("stream too small to exercise chunking: %d chunks", hdr.Chunks)
 			}
-			flat := decodeFlat(t, encoded)
+			all := decodeAll(t, encoded)
 
 			for _, withApprox := range []bool{false, true} {
 				cfg := DefaultConfig()
 				if withApprox {
 					cfg.Approx = approxCfg(4)
 				}
-				want := New(cfg).Run(flat)
+				want := refRun(New(cfg), all)
 				checkConservation(t, want)
 				for _, sizes := range splits {
 					var src trace.ChunkSource = gridReader(t, encoded)
@@ -184,7 +233,7 @@ func FuzzRunStreamChunking(f *testing.F) {
 	encoded, hdr := encodeGridStream(f, 6000, 3, partitioned)
 	cfg := DefaultConfig()
 	cfg.Approx = approxCfg(2)
-	want := New(cfg).Run(decodeFlat(f, encoded))
+	want := refRun(New(cfg), decodeAll(f, encoded))
 	f.Add([]byte{0})
 	f.Add([]byte{2, 64})
 	f.Add([]byte{255, 0, 13, 1})

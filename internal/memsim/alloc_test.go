@@ -2,9 +2,11 @@ package memsim
 
 import (
 	"fmt"
+	"io"
 	"testing"
 
 	"lva/internal/prefetch"
+	"lva/internal/trace"
 )
 
 // allocRuns is how many measured calls assertZeroAllocs averages over.
@@ -104,13 +106,26 @@ func TestPerLoadPathsAllocateNothing(t *testing.T) {
 		}
 	})
 
-	t.Run("capture within preallocated capacity", func(t *testing.T) {
+	t.Run("grid capture across chunk boundaries", func(t *testing.T) {
+		// Each measured call records one full 4096-access chunk of hits, so
+		// every run crosses a chunk boundary and pays for one flush.
+		const chunk = 4096
 		sim := New(DefaultConfig())
-		sim.CaptureSized("alloc-test", 4096)
+		gw := trace.NewGridWriter(io.Discard, "alloc-test", "k", 1)
+		sim.SetGridCapture(gw)
 		sim.LoadFloat(0x400, 0x1000, 1, false)
-		assertZeroAllocs(t, "captured hit", func() { sim.LoadFloat(0x400, 0x1000, 1, false) })
-		if got := len(sim.TakeTrace().Accesses); got == 0 {
-			t.Fatal("capture recorded nothing")
+		assertZeroAllocs(t, "captured hits", func() {
+			for i := 0; i < chunk; i++ {
+				sim.LoadFloat(0x400, 0x1000, 1, false)
+			}
+		})
+		hdr, err := gw.Finish(sim.Result().Instructions, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// AllocsPerRun makes one warm-up call before the measured runs.
+		if hdr.Chunks < allocRuns+1 {
+			t.Errorf("capture flushed %d chunks, want at least %d", hdr.Chunks, allocRuns+1)
 		}
 	})
 }

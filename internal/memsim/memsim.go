@@ -159,11 +159,7 @@ type Sim struct {
 	// Like at, its hooks live inside the annotated-load branch only.
 	ph *phase.Profiler
 
-	rec     *trace.Trace // optional capture
-	lastEnd []uint64     // per-thread instruction count at last recorded access
-
 	// grid is the optional streaming capture sink (record-once replay).
-	// Mutually exclusive with rec in practice; rec wins if both are set.
 	grid *trace.GridWriter
 }
 
@@ -206,27 +202,10 @@ func New(cfg Config) *Sim {
 	return s
 }
 
-// Capture directs the simulator to record every access into a trace with
-// the given name. Call before running the workload.
-func (s *Sim) Capture(name string) { s.CaptureSized(name, 0) }
-
-// CaptureSized is Capture with a capacity hint: accesses is the expected
-// number of loads+stores, known exactly when a precise run of the same
-// workload has already been simulated (the run cache makes that free).
-// Preallocating avoids regrowing the trace slice through dozens of copies
-// during multi-million-access captures.
-func (s *Sim) CaptureSized(name string, accesses int) {
-	s.rec = trace.NewSized(name, accesses)
-	s.lastEnd = make([]uint64, 256)
-}
-
-// TakeTrace returns the captured trace (nil if Capture was not called).
-func (s *Sim) TakeTrace() *trace.Trace { return s.rec }
-
 // SetGridCapture directs the simulator to stream every access into a grid
-// trace writer (nil detaches). Unlike Capture nothing is buffered in
-// memory: accesses go straight into the writer's chunk encoder. Call
-// before running the workload; the writer's own Finish seals the file.
+// trace writer (nil detaches). Nothing is buffered in memory beyond the
+// writer's current chunk. Call before running the workload; the writer's
+// own Finish seals the file.
 func (s *Sim) SetGridCapture(w *trace.GridWriter) { s.grid = w }
 
 // SetAttribution attaches a flight recorder for this run (nil detaches),
@@ -267,27 +246,9 @@ func (s *Sim) SetThread(t int) {
 // Tick implements Memory.
 func (s *Sim) Tick(n uint64) { s.insts += n }
 
-// record appends one access to the capture trace. Callers check s.rec for
-// nil first so non-capturing runs (all of phase 1's figures) pay a single
-// inlined nil test instead of a function call per access.
-func (s *Sim) record(pc, addr uint64, v value.Value, op trace.Op, approx bool) {
-	gap := s.insts - s.lastEnd[s.thread]
-	if gap > 1<<30 {
-		gap = 1 << 30
-	}
-	// The access instruction itself is not part of the next gap.
-	s.lastEnd[s.thread] = s.insts + 1
-	s.rec.Append(trace.Access{
-		PC: pc, Addr: addr, Value: v, Gap: uint32(gap),
-		Thread: s.thread, Op: op, Approx: approx,
-	})
-}
-
 // load is the common load path; returns the (possibly clobbered) value.
 func (s *Sim) load(pc, addr uint64, precise value.Value, approx bool) value.Value {
-	if s.rec != nil {
-		s.record(pc, addr, precise, trace.Load, approx)
-	} else if s.grid != nil {
+	if s.grid != nil {
 		s.grid.Access(pc, addr, precise, trace.Load, approx, s.thread, s.insts)
 	}
 	s.insts++
@@ -395,9 +356,7 @@ func (s *Sim) LoadInt(pc, addr uint64, precise int64, approx bool) int64 {
 // Store implements Memory. Stores are never approximated; misses
 // write-allocate.
 func (s *Sim) Store(pc, addr uint64) {
-	if s.rec != nil {
-		s.record(pc, addr, value.Value{}, trace.Store, false)
-	} else if s.grid != nil {
+	if s.grid != nil {
 		s.grid.Access(pc, addr, value.Value{}, trace.Store, false, s.thread, s.insts)
 	}
 	s.insts++

@@ -1,6 +1,7 @@
 package memsim
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
@@ -163,24 +164,33 @@ func TestEffectiveMPKIMath(t *testing.T) {
 
 func TestTraceCapture(t *testing.T) {
 	s := New(testConfig(AttachNone))
-	s.Capture("unit")
+	var buf bytes.Buffer
+	gw := trace.NewGridWriter(&buf, "unit", "k", 1)
+	s.SetGridCapture(gw)
 	s.SetThread(2)
 	s.Tick(5)
 	s.LoadFloat(0x400, 0x1000, 1.5, true)
 	s.Store(0x404, 0x2000)
-	tr := s.TakeTrace()
-	if tr == nil || tr.Len() != 2 {
-		t.Fatalf("trace = %+v", tr)
+	if _, err := gw.Finish(s.Result().Instructions, nil); err != nil {
+		t.Fatal(err)
 	}
-	a := tr.Accesses[0]
+	gr, err := trace.NewGridReader(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	accs, _, err := gr.Next()
+	if err != nil || len(accs) != 2 {
+		t.Fatalf("recorded %d accesses, err %v; want 2", len(accs), err)
+	}
+	a := accs[0]
 	if a.PC != 0x400 || a.Addr != 0x1000 || a.Thread != 2 || !a.Approx || a.Op != trace.Load {
 		t.Fatalf("access 0 = %+v", a)
 	}
 	if a.Gap != 5 {
 		t.Fatalf("gap = %d, want 5 (the Tick before the load)", a.Gap)
 	}
-	if tr.Accesses[1].Op != trace.Store || tr.Accesses[1].Gap != 0 {
-		t.Fatalf("access 1 = %+v", tr.Accesses[1])
+	if accs[1].Op != trace.Store || accs[1].Gap != 0 {
+		t.Fatalf("access 1 = %+v", accs[1])
 	}
 }
 

@@ -6,11 +6,10 @@
 // make the precise (PC, addr, value) stream config-invariant, so the
 // recording is reusable across the whole grid.
 //
-// Unlike the flat LVAT format (Write/Read), grid traces stream: accesses
-// are delta-encoded into fixed-size chunks so neither the writer nor the
-// reader ever materializes the whole stream, and the self-describing header
-// travels in a footer (counts are unknown until the run finishes) that a
-// stat tool can fetch with one seek.
+// Grid traces stream: accesses are delta-encoded into fixed-size chunks so
+// neither the writer nor the reader ever materializes the whole stream, and
+// the self-describing header travels in a footer (counts are unknown until
+// the run finishes) that a stat tool can fetch with one seek.
 //
 // Layout (all little-endian):
 //
@@ -109,6 +108,9 @@ type GridWriter struct {
 	key  string
 	seed uint64
 
+	// buf holds the chunk being built: 8 bytes reserved for its frame
+	// (count, payloadLen), then the payload, so each chunk goes out in one
+	// Write and no frame buffer escapes through the io.Writer.
 	buf   []byte
 	count int
 
@@ -130,7 +132,7 @@ type GridWriter struct {
 // NewGridWriter starts a grid stream on w, writing the file preamble
 // immediately. name/key/seed are recorded verbatim into the footer.
 func NewGridWriter(w io.Writer, name, key string, seed uint64) *GridWriter {
-	g := &GridWriter{w: w, name: name, key: key, seed: seed}
+	g := &GridWriter{w: w, name: name, key: key, seed: seed, buf: make([]byte, 8)}
 	var pre [8]byte
 	binary.LittleEndian.PutUint32(pre[0:], gridMagic)
 	binary.LittleEndian.PutUint32(pre[4:], gridVersion)
@@ -174,8 +176,7 @@ func (g *GridWriter) Access(pc, addr uint64, v value.Value, op Op, approx bool, 
 		b = append(b, thread)
 		g.lastThread = thread
 	}
-	// The access instruction itself is not part of the next gap (mirrors
-	// the capture hook's bookkeeping).
+	// The access instruction itself is not part of the next gap.
 	b = binary.AppendUvarint(b, insts-g.lastEnd)
 	g.lastEnd = insts + 1
 	b = binary.AppendVarint(b, int64(pc-g.prevPC))
@@ -213,20 +214,15 @@ func (g *GridWriter) flushChunk() {
 	if g.count == 0 || g.err != nil {
 		return
 	}
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(g.count))
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(len(g.buf)))
-	if _, err := g.w.Write(hdr[:]); err != nil {
-		g.err = err
-		return
-	}
+	binary.LittleEndian.PutUint32(g.buf[0:], uint32(g.count))
+	binary.LittleEndian.PutUint32(g.buf[4:], uint32(len(g.buf)-8))
 	if _, err := g.w.Write(g.buf); err != nil {
 		g.err = err
 		return
 	}
 	g.chunks++
 	g.count = 0
-	g.buf = g.buf[:0]
+	g.buf = g.buf[:8]
 }
 
 // Finish flushes the final chunk and writes the footer. instructions is the
@@ -397,9 +393,9 @@ func (g *GridReader) Next() ([]Access, []uint64, error) {
 		g.prevPC += uint64(dpc)
 		g.prevAddr += uint64(daddr)
 
-		// Reconstruct the exact global instruction index, then the clamped
-		// per-thread gap the in-memory Access format carries (identical to
-		// the capture hook's own derivation).
+		// Reconstruct the exact global instruction index, then the
+		// per-thread gap the in-memory Access format carries, clamped to
+		// 2^30.
 		at := g.lastEndGlobal + gap
 		g.lastEndGlobal = at + 1
 		perGap := at - g.lastEndThread[thread]

@@ -72,8 +72,8 @@ func buildGridEvents(n int) []gridEvent {
 	return evs
 }
 
-// expectedAccesses replays the capture hook's own bookkeeping (per-thread
-// clamped gaps, zero Value on stores) over the event stream.
+// expectedAccesses derives the accesses a reader must return for the event
+// stream: per-thread gaps clamped to 2^30, and a zero Value on stores.
 func expectedAccesses(evs []gridEvent) []Access {
 	lastEnd := make([]uint64, 256)
 	out := make([]Access, 0, len(evs))
@@ -191,7 +191,7 @@ func TestGridRoundTrip(t *testing.T) {
 
 	// Compression sanity: the whole point of the delta encoding.
 	if perAccess := float64(len(encoded)) / n; perAccess > 12 {
-		t.Errorf("encoding averages %.1f bytes/access, want well under the 30-byte flat format", perAccess)
+		t.Errorf("encoding averages %.1f bytes/access, want at most 12", perAccess)
 	}
 }
 

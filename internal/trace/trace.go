@@ -1,17 +1,10 @@
 // Package trace defines the memory-access record exchanged between the
-// phase-1 execution-driven simulator (which captures it) and the phase-2
-// full-system simulator (which replays it), plus a compact binary encoding
-// for storing traces on disk.
+// phase-1 execution-driven simulator (which records it) and the phase-2
+// full-system simulator (which replays it), and LVAG, the chunked binary
+// encoding in which recordings are streamed to disk and back (grid.go).
 package trace
 
-import (
-	"bufio"
-	"encoding/binary"
-	"fmt"
-	"io"
-
-	"lva/internal/value"
-)
+import "lva/internal/value"
 
 // Op distinguishes access types.
 type Op uint8
@@ -47,159 +40,4 @@ type Access struct {
 	Op Op
 	// Approx marks accesses to data annotated approximate (§IV).
 	Approx bool
-}
-
-// Trace is an in-memory access sequence in program order.
-type Trace struct {
-	Name     string
-	Accesses []Access
-}
-
-// NewSized returns an empty trace whose Accesses slice is preallocated for
-// n records, so capture paths that know the access count up front (from a
-// prior precise run of the same workload) never regrow the slice. n <= 0
-// yields an ordinary empty trace.
-func NewSized(name string, n int) *Trace {
-	t := &Trace{Name: name}
-	if n > 0 {
-		t.Accesses = make([]Access, 0, n)
-	}
-	return t
-}
-
-// Append adds an access.
-func (t *Trace) Append(a Access) { t.Accesses = append(t.Accesses, a) }
-
-// Len returns the number of accesses.
-func (t *Trace) Len() int { return len(t.Accesses) }
-
-// Threads returns 1 + the highest thread id present (0 for an empty trace).
-func (t *Trace) Threads() int {
-	hi := -1
-	for _, a := range t.Accesses {
-		hi = max(hi, int(a.Thread))
-	}
-	return hi + 1
-}
-
-// Split partitions the trace into per-thread sub-traces, preserving order.
-func (t *Trace) Split() []*Trace {
-	n := t.Threads()
-	out := make([]*Trace, n)
-	for i := range out {
-		out[i] = &Trace{Name: fmt.Sprintf("%s.t%d", t.Name, i)}
-	}
-	for _, a := range t.Accesses {
-		out[a.Thread].Append(a)
-	}
-	return out
-}
-
-const (
-	magic   = uint32(0x4C564154) // "LVAT"
-	version = uint32(1)
-
-	flagStore  = 1 << 0
-	flagApprox = 1 << 1
-	flagFloat  = 1 << 2
-)
-
-// Write serializes the trace. Format: header (magic, version, name length,
-// name, record count) then fixed 30-byte records, all little-endian.
-func Write(w io.Writer, t *Trace) error {
-	bw := bufio.NewWriter(w)
-	hdr := make([]byte, 12)
-	binary.LittleEndian.PutUint32(hdr[0:], magic)
-	binary.LittleEndian.PutUint32(hdr[4:], version)
-	binary.LittleEndian.PutUint32(hdr[8:], uint32(len(t.Name)))
-	if _, err := bw.Write(hdr); err != nil {
-		return err
-	}
-	if _, err := bw.WriteString(t.Name); err != nil {
-		return err
-	}
-	var cnt [8]byte
-	binary.LittleEndian.PutUint64(cnt[:], uint64(len(t.Accesses)))
-	if _, err := bw.Write(cnt[:]); err != nil {
-		return err
-	}
-	rec := make([]byte, 30)
-	for _, a := range t.Accesses {
-		binary.LittleEndian.PutUint64(rec[0:], a.PC)
-		binary.LittleEndian.PutUint64(rec[8:], a.Addr)
-		binary.LittleEndian.PutUint64(rec[16:], a.Value.Bits)
-		binary.LittleEndian.PutUint32(rec[24:], a.Gap)
-		rec[28] = a.Thread
-		var f byte
-		if a.Op == Store {
-			f |= flagStore
-		}
-		if a.Approx {
-			f |= flagApprox
-		}
-		if a.Value.Kind == value.Float {
-			f |= flagFloat
-		}
-		rec[29] = f
-		if _, err := bw.Write(rec); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// Read deserializes a trace written by Write.
-func Read(r io.Reader) (*Trace, error) {
-	br := bufio.NewReader(r)
-	hdr := make([]byte, 12)
-	if _, err := io.ReadFull(br, hdr); err != nil {
-		return nil, fmt.Errorf("trace: reading header: %w", err)
-	}
-	if m := binary.LittleEndian.Uint32(hdr[0:]); m != magic {
-		return nil, fmt.Errorf("trace: bad magic %#x", m)
-	}
-	if v := binary.LittleEndian.Uint32(hdr[4:]); v != version {
-		return nil, fmt.Errorf("trace: unsupported version %d", v)
-	}
-	nameLen := binary.LittleEndian.Uint32(hdr[8:])
-	if nameLen > 1<<16 {
-		return nil, fmt.Errorf("trace: implausible name length %d", nameLen)
-	}
-	name := make([]byte, nameLen)
-	if _, err := io.ReadFull(br, name); err != nil {
-		return nil, fmt.Errorf("trace: reading name: %w", err)
-	}
-	var cnt [8]byte
-	if _, err := io.ReadFull(br, cnt[:]); err != nil {
-		return nil, fmt.Errorf("trace: reading count: %w", err)
-	}
-	n := binary.LittleEndian.Uint64(cnt[:])
-	if n > 1<<32 {
-		return nil, fmt.Errorf("trace: implausible record count %d", n)
-	}
-	t := &Trace{Name: string(name), Accesses: make([]Access, 0, n)}
-	rec := make([]byte, 30)
-	for i := uint64(0); i < n; i++ {
-		if _, err := io.ReadFull(br, rec); err != nil {
-			return nil, fmt.Errorf("trace: reading record %d: %w", i, err)
-		}
-		a := Access{
-			PC:     binary.LittleEndian.Uint64(rec[0:]),
-			Addr:   binary.LittleEndian.Uint64(rec[8:]),
-			Gap:    binary.LittleEndian.Uint32(rec[24:]),
-			Thread: rec[28],
-		}
-		f := rec[29]
-		kind := value.Int
-		if f&flagFloat != 0 {
-			kind = value.Float
-		}
-		a.Value = value.Value{Bits: binary.LittleEndian.Uint64(rec[16:]), Kind: kind}
-		if f&flagStore != 0 {
-			a.Op = Store
-		}
-		a.Approx = f&flagApprox != 0
-		t.Accesses = append(t.Accesses, a)
-	}
-	return t, nil
 }

@@ -2,166 +2,68 @@ package trace
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"testing"
-	"testing/quick"
-
-	"lva/internal/value"
 )
 
-func sampleTrace() *Trace {
-	return &Trace{
-		Name: "sample",
-		Accesses: []Access{
-			{PC: 0x400, Addr: 0x1000, Value: value.FromFloat(3.14), Gap: 7, Thread: 0, Op: Load, Approx: true},
-			{PC: 0x404, Addr: 0x1008, Value: value.FromInt(-5), Gap: 0, Thread: 1, Op: Load, Approx: false},
-			{PC: 0x408, Addr: 0x2000, Gap: 12, Thread: 2, Op: Store},
-			{PC: 0x40c, Addr: 0x2040, Value: value.FromInt(9), Gap: 1, Thread: 3, Op: Load, Approx: true},
-		},
-	}
-}
-
-func TestRoundTrip(t *testing.T) {
-	tr := sampleTrace()
-	var buf bytes.Buffer
-	if err := Write(&buf, tr); err != nil {
-		t.Fatalf("Write: %v", err)
-	}
-	got, err := Read(&buf)
+// drainGrid decodes a whole grid stream, returning nil only when every
+// chunk and the footer parse.
+func drainGrid(r io.Reader) error {
+	gr, err := NewGridReader(r)
 	if err != nil {
-		t.Fatalf("Read: %v", err)
+		return err
 	}
-	if got.Name != tr.Name || got.Len() != tr.Len() {
-		t.Fatalf("header mismatch: %q/%d", got.Name, got.Len())
-	}
-	for i := range tr.Accesses {
-		if got.Accesses[i] != tr.Accesses[i] {
-			t.Fatalf("record %d: %+v != %+v", i, got.Accesses[i], tr.Accesses[i])
+	for {
+		if _, _, err := gr.Next(); err == io.EOF {
+			return nil
+		} else if err != nil {
+			return err
 		}
-	}
-}
-
-func TestRoundTripProperty(t *testing.T) {
-	f := func(pcs []uint64, flags []uint8) bool {
-		tr := &Trace{Name: "prop"}
-		for i, pc := range pcs {
-			var fl uint8
-			if i < len(flags) {
-				fl = flags[i]
-			}
-			a := Access{
-				PC:     pc,
-				Addr:   pc ^ 0xABCD,
-				Gap:    uint32(pc % 1000),
-				Thread: fl % 4,
-				Approx: fl&8 != 0,
-			}
-			if fl&16 != 0 {
-				a.Op = Store
-			}
-			if fl&32 != 0 {
-				a.Value = value.FromFloat(float64(pc))
-			} else {
-				a.Value = value.FromInt(int64(pc))
-			}
-			tr.Append(a)
-		}
-		var buf bytes.Buffer
-		if err := Write(&buf, tr); err != nil {
-			return false
-		}
-		got, err := Read(&buf)
-		if err != nil || got.Len() != tr.Len() {
-			return false
-		}
-		for i := range tr.Accesses {
-			if got.Accesses[i] != tr.Accesses[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestThreadsAndSplit(t *testing.T) {
-	tr := sampleTrace()
-	if tr.Threads() != 4 {
-		t.Fatalf("Threads = %d", tr.Threads())
-	}
-	parts := tr.Split()
-	if len(parts) != 4 {
-		t.Fatalf("Split produced %d traces", len(parts))
-	}
-	total := 0
-	for i, p := range parts {
-		for _, a := range p.Accesses {
-			if int(a.Thread) != i {
-				t.Fatalf("thread %d access in split %d", a.Thread, i)
-			}
-		}
-		total += p.Len()
-	}
-	if total != tr.Len() {
-		t.Fatalf("split lost accesses: %d != %d", total, tr.Len())
-	}
-	if (&Trace{}).Threads() != 0 {
-		t.Fatal("empty trace thread count")
 	}
 }
 
 func TestBadMagic(t *testing.T) {
-	var buf bytes.Buffer
-	if err := Write(&buf, sampleTrace()); err != nil {
-		t.Fatal(err)
-	}
+	buf, _ := writeGrid(t, buildGridEvents(10), 100, nil)
 	raw := buf.Bytes()
-	raw[0] ^= 0xFF
-	if _, err := Read(bytes.NewReader(raw)); err == nil {
-		t.Fatal("corrupted magic must fail")
+
+	bad := append([]byte(nil), raw...)
+	bad[0] ^= 0xFF
+	if err := drainGrid(bytes.NewReader(bad)); !errors.Is(err, errGridMagic) {
+		t.Fatalf("corrupted preamble magic: err = %v, want %v", err, errGridMagic)
+	}
+	bad = append([]byte(nil), raw...)
+	bad[len(bad)-1] ^= 0xFF
+	if _, err := ReadGridFooter(bytes.NewReader(bad)); !errors.Is(err, errGridMagic) {
+		t.Fatalf("corrupted trailer magic: err = %v, want %v", err, errGridMagic)
 	}
 }
 
 func TestBadVersion(t *testing.T) {
-	var buf bytes.Buffer
-	if err := Write(&buf, sampleTrace()); err != nil {
-		t.Fatal(err)
-	}
+	buf, _ := writeGrid(t, buildGridEvents(10), 100, nil)
 	raw := buf.Bytes()
 	raw[4] = 99
-	if _, err := Read(bytes.NewReader(raw)); err == nil {
-		t.Fatal("unsupported version must fail")
+	if err := drainGrid(bytes.NewReader(raw)); !errors.Is(err, errGridVersion) {
+		t.Fatalf("unsupported version: err = %v, want %v", err, errGridVersion)
 	}
 }
 
 func TestTruncatedStream(t *testing.T) {
-	var buf bytes.Buffer
-	if err := Write(&buf, sampleTrace()); err != nil {
-		t.Fatal(err)
-	}
+	evs := buildGridEvents(10000) // three chunks
+	buf, _ := writeGrid(t, evs, evs[len(evs)-1].insts+1, nil)
 	raw := buf.Bytes()
-	if _, err := Read(bytes.NewReader(raw[:len(raw)-5])); err == nil {
-		t.Fatal("truncated stream must fail")
+	for _, n := range []int{3, 8, len(raw) / 2, len(raw) - 5} {
+		if err := drainGrid(bytes.NewReader(raw[:n])); err == nil {
+			t.Errorf("stream truncated to %d of %d bytes decoded without error", n, len(raw))
+		}
 	}
-	if _, err := Read(bytes.NewReader(raw[:3])); err == nil {
-		t.Fatal("truncated header must fail")
+	if _, err := ReadGridFooter(bytes.NewReader(raw[:len(raw)-5])); err == nil {
+		t.Error("footer of a truncated stream read without error")
 	}
 }
 
 func TestOpString(t *testing.T) {
 	if Load.String() != "load" || Store.String() != "store" {
 		t.Fatal("op strings")
-	}
-}
-
-func TestEmptyTraceRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	if err := Write(&buf, &Trace{Name: "empty"}); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Read(&buf)
-	if err != nil || got.Len() != 0 || got.Name != "empty" {
-		t.Fatalf("empty roundtrip: %v %v", got, err)
 	}
 }

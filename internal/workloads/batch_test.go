@@ -1,6 +1,8 @@
 package workloads
 
 import (
+	"bytes"
+	"io"
 	"testing"
 
 	"lva/internal/memsim"
@@ -8,10 +10,11 @@ import (
 )
 
 // batchOut collects everything a scenario run produces that the batched
-// accessors could possibly change: the full capture trace and every value
-// the kernel consumed.
+// accessors could possibly change: the decoded grid recording (accesses and
+// their global instruction indices) and every value the kernel consumed.
 type batchOut struct {
-	tr        *trace.Trace
+	accs      []trace.Access
+	insts     []uint64
 	consumed  []float64
 	consumedI []int32
 }
@@ -22,11 +25,14 @@ type batchOut struct {
 // overflows the 64 KB L1 every pass, so the scenario exercises hits,
 // misses, covered approximate misses, delayed training and (under
 // AttachPrefetch) prefetch fills.
-func runBatchScenario(att memsim.Attachment, batched bool) batchOut {
+func runBatchScenario(t *testing.T, att memsim.Attachment, batched bool) batchOut {
+	t.Helper()
 	cfg := memsim.DefaultConfig()
 	cfg.Attach = att
 	sim := memsim.New(cfg)
-	sim.Capture("batch-scenario")
+	var rec bytes.Buffer
+	gw := trace.NewGridWriter(&rec, "batch-scenario", "k", 99)
+	sim.SetGridCapture(gw)
 
 	arena := NewArena()
 	const n = 4096
@@ -109,33 +115,50 @@ func runBatchScenario(att memsim.Attachment, batched bool) batchOut {
 			}
 		}
 	}
-	out.tr = sim.TakeTrace()
-	return out
+	if _, err := gw.Finish(sim.Result().Instructions, nil); err != nil {
+		t.Fatal(err)
+	}
+	gr, err := trace.NewGridReader(&rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for {
+		accs, insts, err := gr.Next()
+		if err == io.EOF {
+			return out
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		out.accs = append(out.accs, accs...)
+		out.insts = append(out.insts, insts...)
+	}
 }
 
 // TestBatchedAccessorsMatchScalar is the batching contract: under every
 // attachment, each batched accessor issues an access stream identical to
 // its scalar-loop equivalent — same PCs, addresses, values, ordering,
-// thread tags and gaps — and the kernel consumes identical values.
+// thread tags, gaps and instruction indices — and the kernel consumes
+// identical values.
 func TestBatchedAccessorsMatchScalar(t *testing.T) {
 	atts := []memsim.Attachment{
 		memsim.AttachNone, memsim.AttachLVA, memsim.AttachLVP, memsim.AttachPrefetch,
 	}
 	for _, att := range atts {
 		t.Run(att.String(), func(t *testing.T) {
-			scalar := runBatchScenario(att, false)
-			batch := runBatchScenario(att, true)
-			if len(scalar.tr.Accesses) == 0 {
+			scalar := runBatchScenario(t, att, false)
+			batch := runBatchScenario(t, att, true)
+			if len(scalar.accs) == 0 {
 				t.Fatal("scenario recorded no accesses")
 			}
-			if len(scalar.tr.Accesses) != len(batch.tr.Accesses) {
+			if len(scalar.accs) != len(batch.accs) {
 				t.Fatalf("access count: scalar %d, batched %d",
-					len(scalar.tr.Accesses), len(batch.tr.Accesses))
+					len(scalar.accs), len(batch.accs))
 			}
-			for i := range scalar.tr.Accesses {
-				if scalar.tr.Accesses[i] != batch.tr.Accesses[i] {
-					t.Fatalf("access %d differs:\nscalar  %+v\nbatched %+v",
-						i, scalar.tr.Accesses[i], batch.tr.Accesses[i])
+			for i := range scalar.accs {
+				if scalar.accs[i] != batch.accs[i] || scalar.insts[i] != batch.insts[i] {
+					t.Fatalf("access %d differs:\nscalar  %+v at instruction %d\nbatched %+v at instruction %d",
+						i, scalar.accs[i], scalar.insts[i], batch.accs[i], batch.insts[i])
 				}
 			}
 			if len(scalar.consumed) != len(batch.consumed) ||

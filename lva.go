@@ -45,7 +45,6 @@ import (
 	"lva/internal/obs/phase"
 	"lva/internal/obs/prov"
 	"lva/internal/prefetch"
-	"lva/internal/trace"
 	"lva/internal/value"
 	"lva/internal/workloads"
 )
@@ -133,9 +132,6 @@ func NewSystem(cfg SystemConfig) *System { return fullsys.New(cfg) }
 
 // DefaultSystemConfig returns the paper's Table II full-system setup.
 func DefaultSystemConfig() SystemConfig { return fullsys.DefaultConfig() }
-
-// Trace is a captured memory-access trace (phase-1 output, phase-2 input).
-type Trace = trace.Trace
 
 // Workload is one of the seven benchmark kernels.
 type Workload = workloads.Workload
@@ -359,9 +355,10 @@ func TimelineJSON() ([]byte, error) { return experiments.TimelineJSON() }
 // StopTimeline ends the timeline capture session.
 func StopTimeline() { experiments.StopTimeline() }
 
-// CaptureTrace records a workload's 4-thread access trace for phase-2 replay.
-func CaptureTrace(w Workload, seed uint64) *Trace {
-	return experiments.CaptureTrace(w, seed)
+// RunFullSystem records a workload's precise 4-thread access stream in
+// memory and replays it through the phase-2 full-system model under cfg.
+func RunFullSystem(w Workload, seed uint64, cfg SystemConfig) (SystemResult, error) {
+	return experiments.RunFullSystem(w, seed, cfg)
 }
 
 // Program is an assembled approximate-ISA program (§IV: ISA extensions

@@ -1,11 +1,9 @@
 package lva_test
 
 import (
-	"bytes"
 	"testing"
 
 	"lva"
-	"lva/internal/trace"
 )
 
 // TestFacadeApproximator exercises the public approximator API directly.
@@ -61,31 +59,19 @@ func TestFacadeWorkloads(t *testing.T) {
 	}
 }
 
-// TestFacadeEndToEnd captures a trace via the facade, serializes it, and
-// replays it in the full-system simulator — the complete two-phase
-// methodology through public API only.
+// TestFacadeEndToEnd records a trace and replays it in the full-system
+// simulator, precisely and under LVA — the complete two-phase methodology
+// through public API only.
 func TestFacadeEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full workload run")
 	}
 	sw := lva.NewSwaptions()
 	sw.NSwaptions, sw.Paths = 4, 50
-	tr := lva.CaptureTrace(sw, 42)
-	if tr.Len() == 0 {
-		t.Fatal("empty trace")
-	}
-
-	var buf bytes.Buffer
-	if err := trace.Write(&buf, tr); err != nil {
-		t.Fatal(err)
-	}
-	tr2, err := trace.Read(&buf)
+	res, err := lva.RunFullSystem(sw, 42, lva.DefaultSystemConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	sys := lva.NewSystem(lva.DefaultSystemConfig())
-	res := sys.Run(tr2)
 	if res.Cycles == 0 || res.Instructions == 0 {
 		t.Fatalf("replay result = %+v", res)
 	}
@@ -94,7 +80,13 @@ func TestFacadeEndToEnd(t *testing.T) {
 	acfg.ValueDelay = 1
 	scfg := lva.DefaultSystemConfig()
 	scfg.Approx = &acfg
-	res2 := lva.NewSystem(scfg).Run(tr2)
+	res2, err := lva.RunFullSystem(sw, 42, scfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res2.Instructions != res.Instructions {
+		t.Fatalf("LVA replay ran %d instructions, precise %d: both replay one recording", res2.Instructions, res.Instructions)
+	}
 	if res2.Cycles > res.Cycles*2 {
 		t.Fatalf("LVA replay pathologically slow: %d vs %d", res2.Cycles, res.Cycles)
 	}
