@@ -4,6 +4,7 @@
 #
 #   build  — go build ./...
 #   vet    — go vet ./...
+#   gofmt  — gofmt -l over every tracked Go file; any listed file fails
 #   lint   — go run ./cmd/lvalint ./...   (project invariants, see DESIGN.md)
 #   test   — go test ./...
 #   race   — go test -race ./...
@@ -121,6 +122,13 @@ fi
 
 step go build ./...
 step go vet ./...
+echo "==> gofmt -l (tracked Go files)"
+unformatted="$(git ls-files -z '*.go' | xargs -0 gofmt -l)"
+if [[ -n "${unformatted}" ]]; then
+    echo "ci.sh: gofmt would reformat:" >&2
+    echo "${unformatted}" >&2
+    exit 1
+fi
 # The lint step runs the whole dataflow suite (call graph + taint + a
 # compile per hot-path package for allocbudget), so its wall time gets its
 # own line. Under GitHub Actions, findings additionally surface as ::error

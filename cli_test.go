@@ -110,6 +110,8 @@ func TestLvasimRejectsOutOfRangeFlags(t *testing.T) {
 		{[]string{"-attach", "lva", "-delay", "-3"}, "core: value delay must be >= 0, got -3"},
 		{[]string{"-attach", "lva", "-ghb", "-2"}, "core: GHB size must be >= 0, got -2"},
 		{[]string{"-attach", "lva", "-mantissa", "99"}, "core: mantissa loss must be in [0,23], got 99"},
+		{[]string{"-attach", "lva", "-ghb", "100000000000"}, "core: GHB size must be <= 64, got 100000000000"},
+		{[]string{"-attach", "lva", "-window", "NaN"}, "core: confidence window must be a number, got NaN"},
 	}
 	for _, c := range cases {
 		_, stderr, err := runCLI(t, bin, append([]string{"-bench", "swaptions"}, c.args...)...)
@@ -117,8 +119,34 @@ func TestLvasimRejectsOutOfRangeFlags(t *testing.T) {
 		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
 			t.Errorf("%v: err = %v, want exit status 2", c.args, err)
 		}
-		if !strings.Contains(stderr, "lvasim: "+c.want) || strings.Contains(stderr, "panic:") {
+		// Go's fatal errors also exit 2, so the message decides.
+		if !strings.Contains(stderr, "lvasim: "+c.want) || strings.Contains(stderr, "panic:") || strings.Contains(stderr, "fatal error") {
 			t.Errorf("%v: stderr = %q, want %q and no panic", c.args, stderr, "lvasim: "+c.want)
+		}
+	}
+}
+
+// TestLvadesignRejectsOutOfRangeFlags is lvasim's twin for the sweep
+// lists: a bad approximator parameter exits 1 with lvadesign's message
+// before anything simulates, never a crash.
+func TestLvadesignRejectsOutOfRangeFlags(t *testing.T) {
+	bin := buildCLI(t, "lvadesign")
+	cases := []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-ghbs", "100000000000"}, "core: GHB size must be <= 64, got 100000000000"},
+		{[]string{"-lhbs", "100000000000"}, "core: LHB size must be <= 64, got 100000000000"},
+		{[]string{"-windows", "NaN"}, "core: confidence window must be a number, got NaN"},
+	}
+	for _, c := range cases {
+		_, stderr, err := runCLI(t, bin, append([]string{"-bench", "swaptions", "-q"}, c.args...)...)
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+			t.Errorf("%v: err = %v, want exit status 1", c.args, err)
+		}
+		if !strings.Contains(stderr, "lvadesign: "+c.want) || strings.Contains(stderr, "panic:") || strings.Contains(stderr, "fatal error") {
+			t.Errorf("%v: stderr = %q, want %q and no panic", c.args, stderr, "lvadesign: "+c.want)
 		}
 	}
 }

@@ -63,8 +63,8 @@ func (s Stats) Misses() uint64 { return s.LoadMiss + s.StoreMiss }
 func (s Stats) Accesses() uint64 { return s.Loads + s.Stores }
 
 const (
-	flagDirty uint8 = 1 << iota
-	flagPrefetch // inserted by a prefetcher, not yet demanded
+	flagDirty    uint8 = 1 << iota
+	flagPrefetch       // inserted by a prefetcher, not yet demanded
 )
 
 // meta is the per-line state the probe does not need: recency and flag

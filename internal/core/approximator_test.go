@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -34,7 +35,12 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.ConfidenceBits = 0 },
 		func(c *Config) { c.ConfidenceBits = 9 },
 		func(c *Config) { c.GHBSize = -1 },
+		func(c *Config) { c.GHBSize = MaxHistoryDepth + 1 },
+		func(c *Config) { c.GHBSize = 100000000000 },
 		func(c *Config) { c.LHBSize = 0 },
+		func(c *Config) { c.LHBSize = MaxHistoryDepth + 1 },
+		func(c *Config) { c.LHBSize = 100000000000 },
+		func(c *Config) { c.Window = math.NaN() },
 		func(c *Config) { c.Degree = -1 },
 		func(c *Config) { c.ValueDelay = -1 },
 		func(c *Config) { c.MantissaLoss = 24 },

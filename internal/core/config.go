@@ -13,6 +13,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"lva/internal/value"
 )
@@ -128,6 +129,11 @@ type Config struct {
 	MantissaLoss int
 }
 
+// MaxHistoryDepth caps GHBSize and LHBSize. It is 8x the deepest history
+// any figure, test or example uses, and keeps a mistyped depth from
+// allocating history buffers that exhaust memory.
+const MaxHistoryDepth = 64
+
 // DefaultConfig returns the paper's Table II baseline configuration.
 func DefaultConfig() Config {
 	return Config{
@@ -158,10 +164,16 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: tag bits must be in [1,43], got %d", c.TagBits)
 	case c.ConfidenceBits <= 0 || c.ConfidenceBits > 8:
 		return fmt.Errorf("core: confidence bits must be in [1,8], got %d", c.ConfidenceBits)
+	case math.IsNaN(c.Window):
+		return fmt.Errorf("core: confidence window must be a number, got NaN")
 	case c.GHBSize < 0:
 		return fmt.Errorf("core: GHB size must be >= 0, got %d", c.GHBSize)
+	case c.GHBSize > MaxHistoryDepth:
+		return fmt.Errorf("core: GHB size must be <= %d, got %d", MaxHistoryDepth, c.GHBSize)
 	case c.LHBSize <= 0:
 		return fmt.Errorf("core: LHB size must be positive, got %d", c.LHBSize)
+	case c.LHBSize > MaxHistoryDepth:
+		return fmt.Errorf("core: LHB size must be <= %d, got %d", MaxHistoryDepth, c.LHBSize)
 	case c.Degree < 0:
 		return fmt.Errorf("core: approximation degree must be >= 0, got %d", c.Degree)
 	case c.ValueDelay < 0:

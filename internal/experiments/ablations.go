@@ -77,7 +77,7 @@ func AblationCompute() *Figure {
 	kinds := []core.ComputeKind{core.ComputeAverage, core.ComputeLast, core.ComputeStride}
 	b := newBatch("ablation-compute")
 	precise := b.precise()
-	kindRuns := make([][]RunResult, len(kinds))
+	kindRuns := make([][]*RunResult, len(kinds))
 	for ki, kind := range kinds {
 		kind := kind
 		kindRuns[ki] = b.lva(kind.String(), func(w workloads.Workload) core.Config {
@@ -110,7 +110,7 @@ func AblationLHB() *Figure {
 	depths := []int{1, 2, 4, 8}
 	b := newBatch("ablation-lhb")
 	precise := b.precise()
-	depthRuns := make([][]RunResult, len(depths))
+	depthRuns := make([][]*RunResult, len(depths))
 	for di, depth := range depths {
 		depth := depth
 		depthRuns[di] = b.lva(fmt.Sprintf("lhb-%d", depth), func(w workloads.Workload) core.Config {
@@ -143,7 +143,7 @@ func AblationConfidence() *Figure {
 	props := []bool{false, true}
 	b := newBatch("ablation-conf")
 	precise := b.precise()
-	propRuns := make([][]RunResult, len(props))
+	propRuns := make([][]*RunResult, len(props))
 	for pi, prop := range props {
 		prop := prop
 		label := "step-1"

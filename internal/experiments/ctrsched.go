@@ -2,24 +2,21 @@ package experiments
 
 import (
 	"bufio"
-	"fmt"
 	"os"
 	"time"
 
 	"lva/internal/core"
 	"lva/internal/memsim"
-	"lva/internal/obs/attr"
-	"lva/internal/obs/phase"
 	"lva/internal/obs/prov"
-	"lva/internal/prefetch"
 	"lva/internal/trace"
 	"lva/internal/workloads"
 )
 
 // Counter scheduling: the replay-many half of the grid pipeline. A figure
 // whose rows read only memsim.Result counters (Table 1, Figures 4, 8, 12,
-// 13, the table ablation) declares its design points as ctrReqs instead of
-// Run* closures; batch.run routes each one:
+// 13, the table ablation) declares its design points through ctrPoint
+// instead of runPoint; batch.run sends each one down the route that
+// route(dp) picks:
 //
 //   - header: the point IS a recorded stream's run (the precise baseline,
 //     or the Table II LVA baseline) — its counters come straight from the
@@ -33,7 +30,7 @@ import (
 //     values its annotated loads observe depend on the approximator.
 //
 // Output-error figures never come through here: Output requires kernel
-// arithmetic, so they keep calling Run* directly.
+// arithmetic, so they keep executing through runPoint.
 
 type ctrRoute int
 
@@ -43,125 +40,68 @@ const (
 	ctrExec
 )
 
-// ctrReq is one counter-only design point.
+// route picks the cheapest exact route for dp's counters and returns it
+// with its provenance justification. It is a pure function of the point.
+func route(dp designPoint) (ctrRoute, string) {
+	switch {
+	case dp.mem.Attach == memsim.AttachNone:
+		return ctrHeader, provWhyPrecise
+	case dp.mem.Attach == memsim.AttachLVP:
+		return ctrReplay, provWhyLVP
+	case dp.mem.Attach == memsim.AttachPrefetch:
+		return ctrReplay, provWhyPrefetch
+	case dp.mem == lvaPoint(dp.w, BaselineFor(dp.w), dp.seed).mem:
+		return ctrHeader, provWhyBaseline
+	case dp.w.FeedbackFree():
+		return ctrReplay, provWhyFeedbackFree
+	}
+	return ctrExec, provWhyFeedback
+}
+
+// ctrReq is one counter-only design point; scheduleCtrs fills in its
+// route.
 type ctrReq struct {
 	label string
-	w     workloads.Workload
+	dp    designPoint
 	route ctrRoute
-	kind  string        // stream kind, header route
-	cfg   memsim.Config // simulator config, replay route
-	key   string        // canonical Run* fingerprint of the design point
-	why   string        // provenance justification of the chosen route
-	exec  func() RunResult
+	why   string // provenance justification of the route
 	out   *memsim.Result
 }
 
-// ctrPrecisePoint schedules one benchmark's precise counters, served from
-// the recorded precise stream.
-func (b *batch) ctrPrecisePoint(w workloads.Workload) *memsim.Result {
+// ctrPoint schedules one design point's counters; the returned result is
+// filled when the batch runs.
+func (b *batch) ctrPoint(label string, dp designPoint) *memsim.Result {
 	out := new(memsim.Result)
-	b.ctrs = append(b.ctrs, ctrReq{
-		label: "precise/" + w.Name(), w: w, route: ctrHeader, kind: streamPrecise,
-		key: runKey("precise", w, "", DefaultSeed), why: provWhyPrecise,
-		exec: func() RunResult { return RunPrecise(w, DefaultSeed) },
-		out:  out,
-	})
+	b.ctrs = append(b.ctrs, ctrReq{label: label, dp: dp, out: out})
 	return out
 }
 
 // ctrPrecise schedules the precise counters of every benchmark.
 func (b *batch) ctrPrecise() []*memsim.Result {
-	out := make([]*memsim.Result, len(workloads.Names()))
-	for i, w := range workloads.All() {
-		out[i] = b.ctrPrecisePoint(w)
-	}
-	return out
-}
-
-// ctrLVAPoint schedules one LVA design point's counters, picking the
-// cheapest exact route for its configuration and workload.
-func (b *batch) ctrLVAPoint(label string, w workloads.Workload, cfg core.Config) *memsim.Result {
-	out := new(memsim.Result)
-	cfgStr := fmt.Sprintf("%#v", cfg)
-	req := ctrReq{label: label, w: w, out: out,
-		key:  runKey("lva", w, cfgStr, DefaultSeed),
-		exec: func() RunResult { return RunLVA(w, cfg, DefaultSeed) }}
-	switch {
-	case cfgStr == fmt.Sprintf("%#v", BaselineFor(w)):
-		req.route, req.kind, req.why = ctrHeader, streamLVABase, provWhyBaseline
-	case w.FeedbackFree():
-		req.route, req.why = ctrReplay, provWhyFeedbackFree
-		mc := memsim.DefaultConfig()
-		mc.Attach = memsim.AttachLVA
-		mc.Approx = cfg
-		req.cfg = mc
-	default:
-		req.route, req.why = ctrExec, provWhyFeedback
-	}
-	b.ctrs = append(b.ctrs, req)
-	return out
+	return row("precise", func(w workloads.Workload) designPoint { return precisePoint(w, DefaultSeed) }, b.ctrPoint)
 }
 
 // ctrLVA schedules one LVA point per benchmark under cfgFor(w).
 func (b *batch) ctrLVA(label string, cfgFor func(w workloads.Workload) core.Config) []*memsim.Result {
-	out := make([]*memsim.Result, len(workloads.Names()))
-	for i, w := range workloads.All() {
-		out[i] = b.ctrLVAPoint(label+"/"+w.Name(), w, cfgFor(w))
-	}
-	return out
+	return row(label, func(w workloads.Workload) designPoint { return lvaPoint(w, cfgFor(w), DefaultSeed) }, b.ctrPoint)
 }
 
-// ctrLVP schedules one idealized-LVP point per benchmark. LVP never hands
-// a predicted value to the kernel (mispredictions squash, §II), so every
-// LVP configuration replays the precise stream exactly.
+// ctrLVP schedules one idealized-LVP point per benchmark under cfgFor(w).
 func (b *batch) ctrLVP(label string, cfgFor func(w workloads.Workload) core.Config) []*memsim.Result {
-	out := make([]*memsim.Result, len(workloads.Names()))
-	for i, w := range workloads.All() {
-		cfg := cfgFor(w)
-		mc := memsim.DefaultConfig()
-		mc.Attach = memsim.AttachLVP
-		mc.Approx = cfg
-		r := new(memsim.Result)
-		w := w
-		b.ctrs = append(b.ctrs, ctrReq{
-			label: label + "/" + w.Name(), w: w, route: ctrReplay, cfg: mc,
-			key: runKey("lvp", w, fmt.Sprintf("%#v", cfg), DefaultSeed), why: provWhyLVP,
-			exec: func() RunResult { return RunLVP(w, cfg, DefaultSeed) },
-			out:  r,
-		})
-		out[i] = r
-	}
-	return out
+	return row(label, func(w workloads.Workload) designPoint { return lvpPoint(w, cfgFor(w), DefaultSeed) }, b.ctrPoint)
 }
 
 // ctrPrefetch schedules one GHB-prefetcher point per benchmark at a
-// degree. The prefetcher never alters load values, so it always replays.
+// degree.
 func (b *batch) ctrPrefetch(label string, degree int) []*memsim.Result {
-	out := make([]*memsim.Result, len(workloads.Names()))
-	for i, w := range workloads.All() {
-		mc := memsim.DefaultConfig()
-		mc.Attach = memsim.AttachPrefetch
-		p := prefetch.DefaultConfig()
-		p.Degree = degree
-		mc.Prefetch = p
-		r := new(memsim.Result)
-		w := w
-		b.ctrs = append(b.ctrs, ctrReq{
-			label: label + "/" + w.Name(), w: w, route: ctrReplay, cfg: mc,
-			key: prefetchKey(w, degree, DefaultSeed), why: provWhyPrefetch,
-			exec: func() RunResult { return RunPrefetch(w, degree, DefaultSeed) },
-			out:  r,
-		})
-		out[i] = r
-	}
-	return out
+	return row(label, func(w workloads.Workload) designPoint { return prefetchPoint(w, degree, DefaultSeed) }, b.ctrPoint)
 }
 
 // scheduleCtrs converts the collected counter requests into batch tasks:
-// one task per (workload, kind) header group, one per-workload replay
-// task (all its points ride one decode pass), and one task per exec
-// point. Grouping follows insertion order, so the task list — and with it
-// the timeline — is deterministic across parallelism levels.
+// one task per recorded-stream header group, one per-workload replay task
+// (all its points ride one decode pass), and one task per exec point.
+// Grouping follows insertion order, so the task list — and with it the
+// timeline — is deterministic across parallelism levels.
 func (b *batch) scheduleCtrs() {
 	reqs := b.ctrs
 	b.ctrs = nil
@@ -174,16 +114,18 @@ func (b *batch) scheduleCtrs() {
 			r := &reqs[i]
 			b.addQ(r.label, func(queued time.Duration) {
 				pc := provBegin(queued)
-				*r.out = r.exec().Sim
+				*r.out = simulate(r.dp).Sim
 				if pc.on() {
 					pc.point(fig, r.label, "run", prov.RouteExec, prov.CounterNone,
-						provWhyReplayOff, r.key, nil, provStagesRunExec, "")
+						provWhyReplayOff, r.dp, nil, provStagesRunExec, "")
 					pc.stage("exec "+fig+"/"+r.label, "", "", map[string]any{"route": "exec"})
 				}
 			})
 		}
 		return
 	}
+	// A header group's points all are its stream's point, so the group
+	// is named by workload and stream kind.
 	type hkey struct{ name, kind string }
 	var (
 		horder  []hkey
@@ -193,26 +135,28 @@ func (b *batch) scheduleCtrs() {
 	)
 	for i := range reqs {
 		r := &reqs[i]
+		r.route, r.why = route(r.dp)
 		switch r.route {
 		case ctrHeader:
-			k := hkey{r.w.Name(), r.kind}
+			k := hkey{r.dp.w.Name(), streamKind(r.dp)}
 			if _, ok := hgroups[k]; !ok {
 				horder = append(horder, k)
 			}
 			hgroups[k] = append(hgroups[k], r)
 		case ctrReplay:
-			if _, ok := rgroups[r.w.Name()]; !ok {
-				rorder = append(rorder, r.w.Name())
+			name := r.dp.w.Name()
+			if _, ok := rgroups[name]; !ok {
+				rorder = append(rorder, name)
 			}
-			rgroups[r.w.Name()] = append(rgroups[r.w.Name()], r)
+			rgroups[name] = append(rgroups[name], r)
 		default:
 			b.addQ(r.label, func(queued time.Duration) {
 				pc := provBegin(queued)
-				*r.out = r.exec().Sim
+				*r.out = simulate(r.dp).Sim
 				traceStats.execPoints.Add(1)
 				if pc.on() {
 					pc.point(fig, r.label, "ctr", prov.RouteExec, prov.CounterExec,
-						r.why, r.key, nil, provStagesCtrExec, "")
+						r.why, r.dp, nil, provStagesCtrExec, "")
 					pc.stage("exec "+fig+"/"+r.label, "", "", map[string]any{"route": "exec", "why": r.why})
 				}
 			})
@@ -220,8 +164,7 @@ func (b *batch) scheduleCtrs() {
 	}
 	for _, k := range horder {
 		group := hgroups[k]
-		kind := k.kind
-		b.addQ("grid/"+k.name+"/"+kind, func(queued time.Duration) { serveHeaders(fig, kind, group, queued) })
+		b.addQ("grid/"+k.name+"/"+k.kind, func(queued time.Duration) { serveHeaders(fig, group, queued) })
 	}
 	for _, name := range rorder {
 		group := rgroups[name]
@@ -232,26 +175,20 @@ func (b *batch) scheduleCtrs() {
 // serveHeaders resolves a header group from its recorded stream's footer
 // counters. ensureStream falls back to (cached, capturing) execution when
 // no recording exists yet, so res is always the exact design-point result.
-func serveHeaders(fig, kind string, group []*ctrReq, queued time.Duration) {
+func serveHeaders(fig string, group []*ctrReq, queued time.Duration) {
 	pc := provBegin(queued)
-	st := ensureStream(kind, group[0].w, DefaultSeed)
+	dp := group[0].dp
+	st := ensureStream(dp)
 	for _, r := range group {
 		*r.out = st.res
 		traceStats.headerHits.Add(1)
 		pc.point(fig, r.label, "ctr", prov.RouteFooter, prov.CounterFooter,
-			r.why, r.key, st, provStagesFooter, "")
+			r.why, r.dp, st, provStagesFooter, "")
 	}
 	if pc.on() {
-		pc.stage("footer "+kind+"/"+group[0].w.Name(), "f", st.hdr.Key,
+		pc.stage("footer "+streamKind(dp)+"/"+dp.w.Name(), "f", st.hdr.Key,
 			map[string]any{"route": "footer", "figure": fig, "points": len(group)})
 	}
-}
-
-// replayKey is the memo identity of one replayed design point. The full
-// simulator config goes into the key, so it separates attachments,
-// approximator settings and prefetch degrees exactly as the Run* keys do.
-func replayKey(w workloads.Workload, cfg memsim.Config, seed uint64) string {
-	return runKey("replay", w, fmt.Sprintf("%#v", cfg), seed)
 }
 
 // serveReplay simulates a replay group by streaming the workload's
@@ -261,44 +198,45 @@ func replayKey(w workloads.Workload, cfg memsim.Config, seed uint64) string {
 // replay memo and skip the decode entirely. Any failure (no recording,
 // disk or decode error) falls back to executing every point.
 func serveReplay(fig string, group []*ctrReq, queued time.Duration) {
-	w := group[0].w
+	src := precisePoint(group[0].dp.w, group[0].dp.seed)
 	pc := provBegin(queued)
 	var pst *gridStream
 	if pc.on() {
 		// Resolve the artifact identity up front so memo-served points
-		// carry it too. The cell is warm whenever the memo has entries
-		// (both are reset together), so this costs no extra recording.
-		pst = ensureStream(streamPrecise, w, DefaultSeed)
+		// carry it too. The stream is warm whenever the memo has replay
+		// entries (both are reset together), so this costs no extra
+		// recording.
+		pst = ensureStream(src)
 	}
 	pending := group[:0:0]
 	for _, r := range group {
-		if v, ok := replayCells.Load(replayKey(r.w, r.cfg, DefaultSeed)); ok {
-			*r.out = v.(memsim.Result)
+		if res, ok := memoPeek[memsim.Result](memoReplay, r.dp); ok {
+			*r.out = res
 			traceStats.replayHits.Add(1)
 			pc.point(fig, r.label, "ctr", prov.RouteReplay, prov.CounterReplayed,
-				r.why, r.key, pst, provStagesReplay, "memo")
+				r.why, r.dp, pst, provStagesReplay, "memo")
 			continue
 		}
 		pending = append(pending, r)
 	}
 	if len(pending) == 0 {
 		if pc.on() {
-			pc.stage("replay "+w.Name(), "f", pst.hdr.Key,
+			pc.stage("replay "+src.w.Name(), "f", pst.hdr.Key,
 				map[string]any{"route": "replay", "figure": fig, "points": len(group), "served": "memo"})
 		}
 		return
 	}
 	group = pending
-	st := ensureStream(streamPrecise, w, DefaultSeed)
+	st := ensureStream(src)
 	execAll := func(why string) {
 		for _, r := range group {
-			*r.out = r.exec().Sim
+			*r.out = simulate(r.dp).Sim
 			traceStats.execPoints.Add(1)
 			pc.point(fig, r.label, "ctr", prov.RouteExec, prov.CounterExec,
-				why, r.key, nil, provStagesCtrExec, "")
+				why, r.dp, nil, provStagesCtrExec, "")
 		}
 		if pc.on() {
-			pc.stage("exec "+fig+"/"+w.Name(), "", "",
+			pc.stage("exec "+fig+"/"+src.w.Name(), "", "",
 				map[string]any{"route": "exec", "why": why, "points": len(group)})
 		}
 	}
@@ -306,21 +244,12 @@ func serveReplay(fig string, group []*ctrReq, queued time.Duration) {
 		execAll(provWhyNoStream)
 		return
 	}
+	observed := make([]observedSim, len(group))
 	sims := make([]*memsim.Sim, len(group))
-	recs := make([]*attr.Recorder, len(group))
-	phs := make([]*phase.Profiler, len(group))
 	for i, r := range group {
-		sims[i] = memsim.New(r.cfg)
-		recs[i] = attrRecorder(w, r.cfg, DefaultSeed)
-		if recs[i] != nil {
-			sims[i].SetAttribution(recs[i])
-		}
-		phs[i] = phaseProfiler(w, r.cfg, DefaultSeed)
-		if phs[i] != nil {
-			sims[i].SetPhaseProfile(phs[i])
-		}
+		observed[i] = observe(r.dp)
+		sims[i] = observed[i].Sim
 	}
-	phStart := time.Now()
 	f, err := os.Open(st.path)
 	if err != nil {
 		execAll(provWhyReplayFail)
@@ -338,101 +267,17 @@ func serveReplay(fig string, group []*ctrReq, queued time.Duration) {
 	for i, r := range group {
 		res := sims[i].Result()
 		*r.out = res
-		replayCells.Store(replayKey(r.w, r.cfg, DefaultSeed), res)
-		if recs[i] != nil {
-			attr.Publish(recs[i])
-		}
-		if phs[i] != nil {
-			publishPhaseProfile(phs[i], phStart)
-		}
+		memoPut(memoReplay, r.dp, res)
+		observed[i].publish()
 		traceStats.replayPoints.Add(1)
 		pc.point(fig, r.label, "ctr", prov.RouteReplay, prov.CounterReplayed,
-			r.why, r.key, st, provStagesReplay, "fresh")
+			r.why, r.dp, st, provStagesReplay, "fresh")
 	}
 	traceStats.replayPasses.Add(1)
 	if pc.on() {
 		_, _, decodedBytes := gr.DecodedStats()
 		pc.l.AddDecodedBytes(decodedBytes)
-		pc.stage("replay "+w.Name(), "f", st.hdr.Key,
+		pc.stage("replay "+src.w.Name(), "f", st.hdr.Key,
 			map[string]any{"route": "replay", "figure": fig, "points": len(group), "bytes_decoded": decodedBytes})
 	}
-}
-
-// replayLVAPoint simulates one LVA design point by replaying the
-// workload's precise stream through a single fresh simulator (RunSweep's
-// CountersOnly path), falling back to the memoized execution when no
-// recording is available. Callers must hold a gate slot; queued is the
-// slot wait, attached to the point's provenance cost.
-func replayLVAPoint(w workloads.Workload, cfg core.Config, seed uint64, queued time.Duration) memsim.Result {
-	mc := memsim.DefaultConfig()
-	mc.Attach = memsim.AttachLVA
-	mc.Approx = cfg
-	pc := provBegin(queued)
-	key, label := "", ""
-	if pc.on() {
-		key = runKey("lva", w, fmt.Sprintf("%#v", cfg), seed)
-		label = "lva/" + w.Name()
-	}
-	if v, ok := replayCells.Load(replayKey(w, mc, seed)); ok {
-		traceStats.replayHits.Add(1)
-		if pc.on() {
-			pst := ensureStream(streamPrecise, w, seed)
-			pc.point("sweep", label, "sweep", prov.RouteReplay, prov.CounterReplayed,
-				provWhyFeedbackFree, key, pst, provStagesSweepReplay, "memo")
-		}
-		return v.(memsim.Result)
-	}
-	st := ensureStream(streamPrecise, w, seed)
-	execPoint := func(why string) memsim.Result {
-		traceStats.execPoints.Add(1)
-		r := RunLVA(w, cfg, seed).Sim
-		pc.point("sweep", label, "sweep", prov.RouteExec, prov.CounterExec,
-			why, key, nil, provStagesSweepExec, "")
-		return r
-	}
-	if st.path == "" {
-		return execPoint(provWhyNoStream)
-	}
-	sim := memsim.New(mc)
-	rec := attrRecorder(w, mc, seed)
-	if rec != nil {
-		sim.SetAttribution(rec)
-	}
-	pp := phaseProfiler(w, mc, seed)
-	var ppStart time.Time
-	if pp != nil {
-		sim.SetPhaseProfile(pp)
-		ppStart = time.Now()
-	}
-	f, err := os.Open(st.path)
-	if err != nil {
-		return execPoint(provWhyReplayFail)
-	}
-	defer f.Close()
-	gr, err := trace.NewGridReader(bufio.NewReaderSize(f, 1<<16))
-	if err == nil {
-		err = memsim.Replay(gr, st.hdr.Instructions, []*memsim.Sim{sim})
-	}
-	if err != nil {
-		return execPoint(provWhyReplayFail)
-	}
-	if rec != nil {
-		attr.Publish(rec)
-	}
-	if pp != nil {
-		publishPhaseProfile(pp, ppStart)
-	}
-	traceStats.replayPasses.Add(1)
-	traceStats.replayPoints.Add(1)
-	res := sim.Result()
-	replayCells.Store(replayKey(w, mc, seed), res)
-	if pc.on() {
-		_, _, decodedBytes := gr.DecodedStats()
-		pc.l.AddDecodedBytes(decodedBytes)
-		pc.point("sweep", label, "sweep", prov.RouteReplay, prov.CounterReplayed,
-			provWhyFeedbackFree, key, st, provStagesSweepReplay, "fresh")
-		pc.stage("replay sweep/"+w.Name(), "f", st.hdr.Key,
-			map[string]any{"route": "replay", "figure": "sweep", "bytes_decoded": decodedBytes})
-	}
-	return res
 }

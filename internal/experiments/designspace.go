@@ -11,46 +11,26 @@ import (
 // ghbSizes are the history depths of Figures 4 and 5.
 var ghbSizes = []int{0, 1, 2, 4}
 
-// normalizedMPKI divides effective MPKI by the precise run's MPKI.
-func normalizedMPKI(run, precise RunResult) float64 {
-	p := precise.Sim.RawMPKI()
-	if p == 0 {
-		return 0
-	}
-	return run.Sim.EffectiveMPKI() / p
-}
-
 // mpkiValues converts a row of runs into normalized-MPKI values.
-func mpkiValues(runs, precise []RunResult) []float64 {
+func mpkiValues(runs, precise []*RunResult) []float64 {
 	out := make([]float64, len(runs))
 	for i := range runs {
-		out[i] = normalizedMPKI(runs[i], precise[i])
+		out[i] = normalizedMPKI(&runs[i].Sim, &precise[i].Sim)
 	}
 	return out
 }
 
 // errorValues converts a row of runs into output-error values.
-func errorValues(runs, precise []RunResult) []float64 {
+func errorValues(runs, precise []*RunResult) []float64 {
 	out := make([]float64, len(runs))
 	for i := range runs {
-		out[i] = ErrorVs(runs[i], precise[i])
+		out[i] = ErrorVs(*runs[i], *precise[i])
 	}
 	return out
 }
 
-// fetchValues converts a row of runs into normalized fetch counts.
-func fetchValues(runs, precise []RunResult) []float64 {
-	out := make([]float64, len(runs))
-	for i := range runs {
-		out[i] = float64(runs[i].Sim.Fetches) / float64(precise[i].Sim.Fetches)
-	}
-	return out
-}
-
-// The ctr* twins of the helpers above operate on the bare counter results
-// the replay scheduler fills in (counter figures never see an Output).
-
-func ctrNormalizedMPKI(run, precise *memsim.Result) float64 {
+// normalizedMPKI divides effective MPKI by the precise run's MPKI.
+func normalizedMPKI(run, precise *memsim.Result) float64 {
 	p := precise.RawMPKI()
 	if p == 0 {
 		return 0
@@ -58,10 +38,13 @@ func ctrNormalizedMPKI(run, precise *memsim.Result) float64 {
 	return run.EffectiveMPKI() / p
 }
 
+// The ctr* twins of the helpers above operate on the bare counter results
+// counter rows fill in (counter figures never see an Output).
+
 func ctrMPKIValues(runs, precise []*memsim.Result) []float64 {
 	out := make([]float64, len(runs))
 	for i := range runs {
-		out[i] = ctrNormalizedMPKI(runs[i], precise[i])
+		out[i] = normalizedMPKI(runs[i], precise[i])
 	}
 	return out
 }
@@ -125,7 +108,7 @@ func Fig5() *Figure {
 	}
 	b := newBatch("fig5")
 	precise := b.precise()
-	ghbRuns := make([][]RunResult, len(ghbSizes))
+	ghbRuns := make([][]*RunResult, len(ghbSizes))
 	for gi, g := range ghbSizes {
 		g := g
 		ghbRuns[gi] = b.lva(fmt.Sprintf("GHB-%d", g), func(w workloads.Workload) core.Config {
@@ -170,7 +153,7 @@ func Fig6() *Figure {
 	}
 	b := newBatch("fig6")
 	precise := b.precise()
-	winRuns := make([][]RunResult, len(confidenceWindows))
+	winRuns := make([][]*RunResult, len(confidenceWindows))
 	for wi, win := range confidenceWindows {
 		win := win
 		if win == 0 {
@@ -212,7 +195,7 @@ func Fig7() *Figure {
 	}
 	b := newBatch("fig7")
 	precise := b.precise()
-	delayRuns := make([][]RunResult, len(valueDelays))
+	delayRuns := make([][]*RunResult, len(valueDelays))
 	for di, d := range valueDelays {
 		d := d
 		delayRuns[di] = b.lva(fmt.Sprintf("delay-%d", d), func(w workloads.Workload) core.Config {
@@ -288,7 +271,7 @@ func Fig9() *Figure {
 	allDegrees := append([]int{0}, degrees...)
 	b := newBatch("fig9")
 	precise := b.precise()
-	degRuns := make([][]RunResult, len(allDegrees))
+	degRuns := make([][]*RunResult, len(allDegrees))
 	for di, d := range allDegrees {
 		d := d
 		degRuns[di] = b.lva(fmt.Sprintf("approx-%d", d), func(w workloads.Workload) core.Config {
@@ -344,20 +327,20 @@ func Fig13() *Figure {
 		Benchmarks: []string{fl.Name()},
 	}
 	b := newBatch("fig13")
-	precise := b.ctrPrecisePoint(fl)
+	precise := b.ctrPoint("precise/"+fl.Name(), precisePoint(fl, DefaultSeed))
 	lossRuns := make([]*memsim.Result, len(mantissaLosses))
 	for bi, bits := range mantissaLosses {
 		cfg := core.DefaultConfig()
 		cfg.GHBSize = 2
 		cfg.Window = -1 // confidence disabled (never rejects)
 		cfg.MantissaLoss = bits
-		lossRuns[bi] = b.ctrLVAPoint(fmt.Sprintf("loss-%d", bits), fl, cfg)
+		lossRuns[bi] = b.ctrPoint(fmt.Sprintf("loss-%d", bits), lvaPoint(fl, cfg, DefaultSeed))
 	}
 	b.run()
 	for bi, bits := range mantissaLosses {
 		f.Rows = append(f.Rows, Row{
 			Label:  fmt.Sprintf("loss-%d bits", bits),
-			Values: []float64{ctrNormalizedMPKI(lossRuns[bi], precise)},
+			Values: []float64{normalizedMPKI(lossRuns[bi], precise)},
 		})
 	}
 	f.Notes = append(f.Notes, "paper: removing mantissa bits improves hash value locality, so MPKI goes down; error stays ~10%")
@@ -377,8 +360,8 @@ func Fig1() *Figure {
 		Benchmarks: []string{bt.Name()},
 	}
 	b := newBatch("fig1")
-	precise := b.one("precise", func() RunResult { return RunPrecise(bt, DefaultSeed) })
-	run := b.one("lva", func() RunResult { return RunLVA(bt, BaselineFor(bt), DefaultSeed) })
+	precise := b.runPoint("precise", precisePoint(bt, DefaultSeed))
+	run := b.runPoint("lva", lvaPoint(bt, BaselineFor(bt), DefaultSeed))
 	b.run()
 	f.Rows = append(f.Rows, Row{Label: "output error", Values: []float64{ErrorVs(*run, *precise)}})
 	f.Rows = append(f.Rows, Row{Label: "coverage", Values: []float64{run.Sim.Coverage()}})

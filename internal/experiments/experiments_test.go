@@ -54,8 +54,8 @@ func TestFigureAccessors(t *testing.T) {
 
 func TestPreciseMemoization(t *testing.T) {
 	w, _ := workloads.ByName("swaptions") // fastest kernel
-	a := Precise(w)
-	b := Precise(w)
+	a := RunPrecise(w, DefaultSeed)
+	b := RunPrecise(w, DefaultSeed)
 	if a.Sim.Instructions != b.Sim.Instructions {
 		t.Fatal("memoized precise runs must be identical")
 	}
@@ -120,7 +120,7 @@ func TestCaptureTraceShape(t *testing.T) {
 	ResetRunCache()
 	defer ResetRunCache()
 	w, _ := workloads.ByName("swaptions")
-	st := ensureStream(streamPrecise, w, DefaultSeed)
+	st := ensureStream(precisePoint(w, DefaultSeed))
 	if st.path == "" {
 		t.Fatal("recording failed")
 	}

@@ -12,7 +12,6 @@ import (
 
 	"lva/internal/obs"
 	"lva/internal/stats"
-	"lva/internal/workloads"
 )
 
 // Figure is the structured result of one experiment: a set of labelled
@@ -91,13 +90,6 @@ func (f *Figure) String() string {
 		fmt.Fprintf(&b, "note: %s\n", n)
 	}
 	return b.String()
-}
-
-// Precise returns the (memoized) precise run for a workload at DefaultSeed.
-// Memoization lives in the process-wide run cache shared by all Run* entry
-// points.
-func Precise(w workloads.Workload) RunResult {
-	return RunPrecise(w, DefaultSeed)
 }
 
 // Registry maps experiment ids to their drivers: the paper's tables and

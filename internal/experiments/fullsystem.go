@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 	"strconv"
-	"sync"
 
 	"lva/internal/fullsys"
 	"lva/internal/obs/prov"
@@ -23,41 +22,46 @@ type fullsysRun struct {
 	byDeg   map[int]fullsys.Result
 }
 
-// runFullsys runs one phase-2 configuration for w by streaming the recorded
-// precise grid trace from disk chunk by chunk. With no readable recording
-// (no writable trace directory, or a chunk that fails to decode) it falls
-// back to RunFullSystem, which records the stream again in memory; it
-// panics only if that fallback fails, which only a bug can cause.
+// runFullsys returns the phase-2 result of w under cfg, memoized per
+// phase-2 design point (Figures 10 and 11 and the extensions share
+// points). A fresh point streams the recorded precise grid trace from
+// disk chunk by chunk. With no readable recording (no writable trace
+// directory, or a chunk that fails to decode) it falls back to
+// RunFullSystem, which records the stream again in memory; it panics only
+// if that fallback fails, which only a bug can cause. A memo hit emits no
+// provenance record.
 func runFullsys(w workloads.Workload, cfg fullsys.Config) fullsys.Result {
-	pc := provBegin(0)
-	label := "precise"
-	if cfg.Approx != nil {
-		label = "lva-d" + strconv.Itoa(cfg.Approx.Degree)
-	}
-	if st := ensureStream(streamPrecise, w, DefaultSeed); st.path != "" {
-		if r, err := streamFullsys(cfg, st); err == nil {
-			if pc.on() {
-				key := runKey("fullsys", w, label, DefaultSeed)
-				pc.point("fullsys", w.Name()+"/"+label, "fullsys", prov.RouteReplay,
-					prov.CounterNone, provWhyStream, key, st, provStagesStream, "")
-				pc.stage("fullsys "+w.Name()+"/"+label, "f", st.hdr.Key,
-					map[string]any{"route": "replay", "workload": w.Name()})
-			}
-			return r
+	dp := fullsysPoint(w, cfg, DefaultSeed)
+	res, _ := memoOnce(memoFullsys, dp, func() fullsys.Result {
+		pc := provBegin(0)
+		label := "precise"
+		if cfg.Approx != nil {
+			label = "lva-d" + strconv.Itoa(cfg.Approx.Degree)
 		}
-	}
-	r, err := RunFullSystem(w, DefaultSeed, cfg)
-	if err != nil {
-		panic(fmt.Sprintf("experiments: in-memory phase-2 fallback for %s/%s: %v", w.Name(), label, err))
-	}
-	if pc.on() {
-		key := runKey("fullsys", w, label, DefaultSeed)
-		pc.point("fullsys", w.Name()+"/"+label, "fullsys", prov.RouteExec,
-			prov.CounterNone, provWhyMemRecord, key, nil, provStagesRunExec, "")
-		pc.stage("fullsys "+w.Name()+"/"+label, "", "",
-			map[string]any{"route": "exec", "workload": w.Name()})
-	}
-	return r
+		if st := ensureStream(precisePoint(w, dp.seed)); st.path != "" {
+			if r, err := streamFullsys(cfg, st); err == nil {
+				if pc.on() {
+					pc.point("fullsys", w.Name()+"/"+label, "fullsys", prov.RouteReplay,
+						prov.CounterNone, provWhyStream, dp, st, provStagesStream, "")
+					pc.stage("fullsys "+w.Name()+"/"+label, "f", st.hdr.Key,
+						map[string]any{"route": "replay", "workload": w.Name()})
+				}
+				return r
+			}
+		}
+		r, err := RunFullSystem(w, dp.seed, cfg)
+		if err != nil {
+			panic(fmt.Sprintf("experiments: in-memory phase-2 fallback for %s/%s: %v", w.Name(), label, err))
+		}
+		if pc.on() {
+			pc.point("fullsys", w.Name()+"/"+label, "fullsys", prov.RouteExec,
+				prov.CounterNone, provWhyMemRecord, dp, nil, provStagesRunExec, "")
+			pc.stage("fullsys "+w.Name()+"/"+label, "", "",
+				map[string]any{"route": "exec", "workload": w.Name()})
+		}
+		return r
+	})
+	return res
 }
 
 // RunFullSystem runs w precisely under the phase-1 simulator, recording its
@@ -71,9 +75,8 @@ func RunFullSystem(w workloads.Workload, seed uint64, cfg fullsys.Config) (fulls
 	if err := cfg.Validate(); err != nil {
 		return fullsys.Result{}, err
 	}
-	key, _, _, mcfg := streamSpec(streamPrecise, w, seed)
 	var buf bytes.Buffer
-	_, hdr, err := writeStream(w, mcfg, seed, key, &buf)
+	_, hdr, err := writeStream(precisePoint(w, seed), &buf)
 	if err != nil {
 		return fullsys.Result{}, err
 	}
@@ -97,38 +100,27 @@ func streamFullsys(cfg fullsys.Config, st *gridStream) (fullsys.Result, error) {
 	return fullsys.New(cfg).RunStream(st.hdr.Threads, gr)
 }
 
-type fsCell struct {
-	once sync.Once
-	r    *fullsysRun
-}
-
-var fsCells sync.Map // workload name -> *fsCell
-
 // fullSystemSweep replays a workload's trace precisely and under LVA at
-// every degree in fullsysDegrees, memoizing per process (Figures 10 and 11
-// share these runs). Distinct workloads sweep concurrently.
+// every degree in fullsysDegrees. Each configuration is memoized by
+// runFullsys, so Figures 10 and 11 share these runs. Distinct workloads
+// sweep concurrently.
 func fullSystemSweep(w workloads.Workload) *fullsysRun {
-	c, _ := fsCells.LoadOrStore(w.Name(), &fsCell{})
-	cell := c.(*fsCell)
-	cell.once.Do(func() {
-		run := &fullsysRun{byDeg: make(map[int]fullsys.Result)}
-		cfg := fullsys.DefaultConfig()
-		run.precise = runFullsys(w, cfg)
+	run := &fullsysRun{byDeg: make(map[int]fullsys.Result)}
+	cfg := fullsys.DefaultConfig()
+	run.precise = runFullsys(w, cfg)
 
-		for _, d := range fullsysDegrees {
-			acfg := BaselineFor(w)
-			acfg.Degree = d
-			// Full-system value delay is realistic (~1 load on average,
-			// §VI-E) rather than the conservative 4 of the design-space
-			// phase.
-			acfg.ValueDelay = 1
-			c := cfg
-			c.Approx = &acfg
-			run.byDeg[d] = runFullsys(w, c)
-		}
-		cell.r = run
-	})
-	return cell.r
+	for _, d := range fullsysDegrees {
+		acfg := BaselineFor(w)
+		acfg.Degree = d
+		// Full-system value delay is realistic (~1 load on average,
+		// §VI-E) rather than the conservative 4 of the design-space
+		// phase.
+		acfg.ValueDelay = 1
+		c := cfg
+		c.Approx = &acfg
+		run.byDeg[d] = runFullsys(w, c)
+	}
+	return run
 }
 
 // Fig10 reproduces Figure 10: full-system speedup (a) and dynamic energy

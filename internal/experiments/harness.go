@@ -5,15 +5,14 @@
 package experiments
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"time"
 
 	"lva/internal/core"
 	"lva/internal/memsim"
 	"lva/internal/obs/attr"
-	"lva/internal/prefetch"
+	"lva/internal/obs/phase"
+	"lva/internal/trace"
 	"lva/internal/workloads"
 )
 
@@ -30,90 +29,88 @@ type RunResult struct {
 // baseline against which MPKI is normalized and output error measured.
 // Like all Run* entry points it is memoized in the process-wide run cache.
 func RunPrecise(w workloads.Workload, seed uint64) RunResult {
-	return cachedRun(runKey("precise", w, "", seed), "precise/"+w.Name(), true, func() RunResult {
-		cfg := memsim.DefaultConfig()
-		cfg.Attach = memsim.AttachNone
-		return runWith(w, cfg, seed)
-	})
+	return simulate(precisePoint(w, seed))
 }
 
 // RunLVA executes the kernel with a load value approximator built from
 // coreCfg attached to the L1.
 func RunLVA(w workloads.Workload, coreCfg core.Config, seed uint64) RunResult {
-	return cachedRun(runKey("lva", w, fmt.Sprintf("%#v", coreCfg), seed), "lva/"+w.Name(), false, func() RunResult {
-		cfg := memsim.DefaultConfig()
-		cfg.Attach = memsim.AttachLVA
-		cfg.Approx = coreCfg
-		return runWith(w, cfg, seed)
-	})
+	return simulate(lvaPoint(w, coreCfg, seed))
 }
 
 // RunLVP executes the kernel with the idealized load value predictor
 // baseline (exact-match coverage, always fetch).
 func RunLVP(w workloads.Workload, coreCfg core.Config, seed uint64) RunResult {
-	return cachedRun(runKey("lvp", w, fmt.Sprintf("%#v", coreCfg), seed), "lvp/"+w.Name(), false, func() RunResult {
-		cfg := memsim.DefaultConfig()
-		cfg.Attach = memsim.AttachLVP
-		cfg.Approx = coreCfg
-		return runWith(w, cfg, seed)
-	})
-}
-
-// prefetchKey is the canonical fingerprint of a GHB-prefetcher point.
-func prefetchKey(w workloads.Workload, degree int, seed uint64) string {
-	return runKey("prefetch", w, fmt.Sprintf("%#v|degree=%d", prefetch.DefaultConfig(), degree), seed)
+	return simulate(lvpPoint(w, coreCfg, seed))
 }
 
 // RunPrefetch executes the kernel with the GHB prefetcher at the given
 // degree (applied to all data, as in the paper).
 func RunPrefetch(w workloads.Workload, degree int, seed uint64) RunResult {
-	return cachedRun(prefetchKey(w, degree, seed), fmt.Sprintf("prefetch-%d/%s", degree, w.Name()), false, func() RunResult {
-		cfg := memsim.DefaultConfig()
-		cfg.Attach = memsim.AttachPrefetch
-		p := prefetch.DefaultConfig()
-		p.Degree = degree
-		cfg.Prefetch = p
-		return runWith(w, cfg, seed)
-	})
+	return simulate(prefetchPoint(w, degree, seed))
 }
 
-func runWith(w workloads.Workload, cfg memsim.Config, seed uint64) RunResult {
-	sim := memsim.New(cfg)
-	rec := attrRecorder(w, cfg, seed)
-	if rec != nil {
-		sim.SetAttribution(rec)
+// simulate returns dp's memoized phase-1 run, executing the kernel at most
+// once per process.
+func simulate(dp designPoint) RunResult {
+	return cachedRun(dp, func() RunResult { return runWith(dp, nil) })
+}
+
+// runWith executes dp's kernel on an observed simulator, streaming its
+// annotated accesses into gw when gw is non-nil.
+func runWith(dp designPoint, gw *trace.GridWriter) RunResult {
+	o := observe(dp)
+	if gw != nil {
+		o.SetGridCapture(gw)
 	}
-	pp := phaseProfiler(w, cfg, seed)
-	var ppStart time.Time
-	if pp != nil {
-		sim.SetPhaseProfile(pp)
-		ppStart = time.Now()
-	}
-	out := w.Run(sim, seed)
-	res := RunResult{Output: out, Sim: sim.Result()}
-	if rec != nil {
-		attr.Publish(rec)
-	}
-	if pp != nil {
-		publishPhaseProfile(pp, ppStart)
-	}
+	out := dp.w.Run(o.Sim, dp.seed)
+	res := RunResult{Output: out, Sim: o.Result()}
+	o.publish()
 	return res
 }
 
-// attrRecorder builds the flight recorder for one simulation when
-// attribution is enabled. The scope fingerprints the full design point —
-// workload name, attachment and a short hash of the exact configuration and
-// seed — so distinct points publish under distinct scopes while re-running
-// the same point (cache disabled, repeated figures) republishes
-// identically. Precise runs carry no annotated-load machinery worth
-// attributing and get no recorder.
-func attrRecorder(w workloads.Workload, cfg memsim.Config, seed uint64) *attr.Recorder {
-	if !attr.Enabled() || cfg.Attach == memsim.AttachNone {
-		return nil
+// observedSim is a design point's simulator with its flight recorder and
+// phase profiler attached; each is nil while its layer is off.
+type observedSim struct {
+	*memsim.Sim
+	rec   *attr.Recorder
+	pp    *phase.Profiler
+	start time.Time
+}
+
+// observe builds the simulator for dp. Both observers publish under the
+// scope workload/attachment/dp.hash(), so distinct points publish under
+// distinct scopes while re-running the same point (cache disabled,
+// repeated figures) republishes identically. Precise runs carry no
+// annotated-load machinery worth attributing and get no recorder, but they
+// are phase-profiled: the phase structure of the unapproximated stream is
+// what interval sampling is judged against.
+func observe(dp designPoint) observedSim {
+	o := observedSim{Sim: memsim.New(dp.mem)}
+	attrOn := attr.Enabled() && dp.mem.Attach != memsim.AttachNone
+	if attrOn || phase.Enabled() {
+		scope := fmt.Sprintf("%s/%s/%s", dp.w.Name(), dp.mem.Attach, dp.hash())
+		if attrOn {
+			o.rec = attr.NewRecorder(scope)
+			o.SetAttribution(o.rec)
+		}
+		if phase.Enabled() {
+			o.pp = phase.NewProfiler(scope)
+			o.SetPhaseProfile(o.pp)
+			o.start = time.Now()
+		}
 	}
-	sum := sha256.Sum256([]byte(fmt.Sprintf("%#v|%#v|seed=%d", w, cfg, seed)))
-	scope := fmt.Sprintf("%s/%s/%s", w.Name(), cfg.Attach, hex.EncodeToString(sum[:4]))
-	return attr.NewRecorder(scope)
+	return o
+}
+
+// publish hands the finished run's observations to their registries.
+func (o observedSim) publish() {
+	if o.rec != nil {
+		attr.Publish(o.rec)
+	}
+	if o.pp != nil {
+		publishPhaseProfile(o.pp, o.start)
+	}
 }
 
 // BaselineFor returns the paper's Table II approximator configuration,

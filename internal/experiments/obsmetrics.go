@@ -16,11 +16,11 @@ type engMetrics struct {
 	cacheSims    *obs.Counter
 	preciseHits  *obs.Counter
 	cacheLookups *obs.Counter
-	inflight    *obs.Gauge
-	queueWait   *obs.Histogram
-	runWall     *obs.Histogram
-	figuresDone *obs.Counter
-	sweepPoints *obs.Counter
+	inflight     *obs.Gauge
+	queueWait    *obs.Histogram
+	runWall      *obs.Histogram
+	figuresDone  *obs.Counter
+	sweepPoints  *obs.Counter
 }
 
 // eng lazily registers the engine metrics exactly once. The timing
@@ -33,10 +33,10 @@ var eng = sync.OnceValue(func() *engMetrics {
 		cacheSims:    r.Counter("runcache_simulated", "kernel simulations actually executed"),
 		preciseHits:  r.Counter("runcache_precise_hits", "memo hits on precise baseline runs"),
 		cacheLookups: r.Counter("runcache_lookups", "memo-layer lookups (cachedRun entries, hit or miss)"),
-		inflight:    r.Gauge("sched_inflight", "simulations currently holding a gate slot"),
-		queueWait:   r.Histogram("sched_queue_wait_seconds", "time simulations waited for a gate slot", obs.TimeBuckets, true),
-		runWall:     r.Histogram("run_wall_seconds", "wall time of each executed kernel simulation", obs.TimeBuckets, true),
-		figuresDone: r.Counter("figures_done", "experiment drivers completed"),
-		sweepPoints: r.Counter("sweep_points_done", "sweep design points completed"),
+		inflight:     r.Gauge("sched_inflight", "simulations currently holding a gate slot"),
+		queueWait:    r.Histogram("sched_queue_wait_seconds", "time simulations waited for a gate slot", obs.TimeBuckets, true),
+		runWall:      r.Histogram("run_wall_seconds", "wall time of each executed kernel simulation", obs.TimeBuckets, true),
+		figuresDone:  r.Counter("figures_done", "experiment drivers completed"),
+		sweepPoints:  r.Counter("sweep_points_done", "sweep design points completed"),
 	}
 })

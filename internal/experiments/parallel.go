@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
 	"time"
@@ -145,82 +144,48 @@ func (b *batch) run() {
 	b.tasks = nil
 }
 
-// runTask wraps a direct Run* task: the point executes through the run
-// cache (route exec, "run" scheduler), and when provenance is on the
-// evaluation is recorded under the canonical key that keyFn builds (keys
-// are built lazily so the disabled path does no fmt work).
-func (b *batch) runTask(label string, keyFn func() string, run func()) {
+// runPoint schedules one executed design point (route exec, "run"
+// scheduler) through the run cache; the returned result is filled when
+// run returns.
+func (b *batch) runPoint(label string, dp designPoint) *RunResult {
+	out := new(RunResult)
 	fig := b.fig
 	b.addQ(label, func(queued time.Duration) {
 		pc := provBegin(queued)
-		run()
+		*out = simulate(dp)
 		if pc.on() {
 			pc.point(fig, label, "run", prov.RouteExec, prov.CounterNone,
-				provWhyOutputRow, keyFn(), nil, provStagesRunExec, "")
+				provWhyOutputRow, dp, nil, provStagesRunExec, "")
 			pc.stage("exec "+fig+"/"+label, "", "", map[string]any{"route": "exec"})
 		}
 	})
-}
-
-// one schedules a single simulation point; the returned pointer is filled
-// when run returns.
-func (b *batch) one(label string, sim func() RunResult) *RunResult {
-	out := new(RunResult)
-	fig := b.fig
-	b.runTask(label, func() string { return "one|" + fig + "/" + label }, func() { *out = sim() })
 	return out
 }
 
-// lva schedules one LVA point per benchmark under cfgFor(w); the returned
-// slice (registry order) is filled when run returns. label names the row
-// on the timeline.
-func (b *batch) lva(label string, cfgFor func(w workloads.Workload) core.Config) []RunResult {
-	out := make([]RunResult, len(workloads.Names()))
+// row schedules one point per benchmark, pointFor(w) labelled
+// label/<benchmark>, with schedule (runPoint or ctrPoint), and returns the
+// results in registry order; they are filled when the batch runs.
+func row[T any](label string, pointFor func(w workloads.Workload) designPoint, schedule func(label string, dp designPoint) *T) []*T {
+	out := make([]*T, len(workloads.Names()))
 	for i, w := range workloads.All() {
-		i, w := i, w
-		cfg := cfgFor(w)
-		b.runTask(label+"/"+w.Name(),
-			func() string { return runKey("lva", w, fmt.Sprintf("%#v", cfg), DefaultSeed) },
-			func() { out[i] = RunLVA(w, cfg, DefaultSeed) })
+		out[i] = schedule(label+"/"+w.Name(), pointFor(w))
 	}
 	return out
+}
+
+// lva schedules one LVA point per benchmark under cfgFor(w).
+func (b *batch) lva(label string, cfgFor func(w workloads.Workload) core.Config) []*RunResult {
+	return row(label, func(w workloads.Workload) designPoint { return lvaPoint(w, cfgFor(w), DefaultSeed) }, b.runPoint)
 }
 
 // lvp is lva for the idealized LVP baseline.
-func (b *batch) lvp(label string, cfgFor func(w workloads.Workload) core.Config) []RunResult {
-	out := make([]RunResult, len(workloads.Names()))
-	for i, w := range workloads.All() {
-		i, w := i, w
-		cfg := cfgFor(w)
-		b.runTask(label+"/"+w.Name(),
-			func() string { return runKey("lvp", w, fmt.Sprintf("%#v", cfg), DefaultSeed) },
-			func() { out[i] = RunLVP(w, cfg, DefaultSeed) })
-	}
-	return out
-}
-
-// prefetch schedules one GHB-prefetcher point per benchmark at a degree.
-func (b *batch) prefetch(label string, degree int) []RunResult {
-	out := make([]RunResult, len(workloads.Names()))
-	for i, w := range workloads.All() {
-		i, w := i, w
-		b.runTask(label+"/"+w.Name(),
-			func() string { return prefetchKey(w, degree, DefaultSeed) },
-			func() { out[i] = RunPrefetch(w, degree, DefaultSeed) })
-	}
-	return out
+func (b *batch) lvp(label string, cfgFor func(w workloads.Workload) core.Config) []*RunResult {
+	return row(label, func(w workloads.Workload) designPoint { return lvpPoint(w, cfgFor(w), DefaultSeed) }, b.runPoint)
 }
 
 // precise schedules the precise baseline of every benchmark.
-func (b *batch) precise() []RunResult {
-	out := make([]RunResult, len(workloads.Names()))
-	for i, w := range workloads.All() {
-		i, w := i, w
-		b.runTask("precise/"+w.Name(),
-			func() string { return runKey("precise", w, "", DefaultSeed) },
-			func() { out[i] = RunPrecise(w, DefaultSeed) })
-	}
-	return out
+func (b *batch) precise() []*RunResult {
+	return row("precise", func(w workloads.Workload) designPoint { return precisePoint(w, DefaultSeed) }, b.runPoint)
 }
 
 // forEachWorkload runs fn once per benchmark through the shared gate,

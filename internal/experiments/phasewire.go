@@ -2,42 +2,22 @@ package experiments
 
 import (
 	"bufio"
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"io"
 	"os"
 	"time"
 
-	"lva/internal/memsim"
 	"lva/internal/obs/phase"
 	"lva/internal/trace"
-	"lva/internal/workloads"
 )
 
 // Phase observatory wiring: when phase profiling is enabled, every
 // simulated run (fresh execution, counter replay, or stream recording)
-// carries a phase.Profiler that fingerprints its annotated-load stream per
-// epoch, and a second sim-free path profiles recorded .lvag streams with
+// carries a phase.Profiler (attached by observe) that fingerprints its
+// annotated-load stream per epoch, and a second sim-free path profiles recorded .lvag streams with
 // one decode pass. Both publish into the phase registry; finalized
 // profiles additionally land on the Perfetto timeline as one lane of
 // phase-segment spans per run when a capture session is active.
-
-// phaseProfiler builds the phase profiler for one simulation when phase
-// profiling is enabled. The scope mirrors attrRecorder's fingerprint —
-// workload name, attachment, short config+seed hash — so each design
-// point publishes under a stable, distinct scope. Unlike attribution,
-// precise (AttachNone) runs ARE profiled: the phase structure of the
-// unapproximated annotated-load stream is exactly what interval sampling
-// needs to be judged against.
-func phaseProfiler(w workloads.Workload, cfg memsim.Config, seed uint64) *phase.Profiler {
-	if !phase.Enabled() {
-		return nil
-	}
-	sum := sha256.Sum256([]byte(fmt.Sprintf("%#v|%#v|seed=%d", w, cfg, seed)))
-	scope := fmt.Sprintf("%s/%s/%s", w.Name(), cfg.Attach, hex.EncodeToString(sum[:4]))
-	return phase.NewProfiler(scope)
-}
 
 // publishPhaseProfile finalizes p into the phase registry and, when a
 // timeline capture is running, renders its epoch-indexed phase timeline
@@ -78,14 +58,6 @@ func publishPhaseProfile(p *phase.Profiler, start time.Time) {
 	}
 }
 
-// streamScope names the offline profile of a recorded stream: workload
-// name, the literal "stream" attachment slot, and a short hash of the
-// recording's run-cache key.
-func streamScope(hdr trace.GridHeader) string {
-	sum := sha256.Sum256([]byte(hdr.Key))
-	return fmt.Sprintf("%s/stream/%s", hdr.Name, hex.EncodeToString(sum[:4]))
-}
-
 // ProfileGridStream phase-profiles a recorded .lvag grid stream in one
 // decode pass, with no simulation: every annotated load's (pc, addr,
 // instruction index) feeds the epoch fingerprints directly. The profile
@@ -109,7 +81,9 @@ func ProfileGridStream(path string) (phase.ScopeProfile, trace.GridHeader, error
 	if err != nil {
 		return phase.ScopeProfile{}, hdr, err
 	}
-	p := phase.NewStreamProfiler(streamScope(hdr))
+	// The footer key is the recording point's key(), so the scope's hash
+	// matches the recording run's own scope.
+	p := phase.NewStreamProfiler(hdr.Name + "/stream/" + hashKey(hdr.Key))
 	err = trace.Walk(gr, func(a *trace.Access, insts uint64) error {
 		if a.Op == trace.Load && a.Approx {
 			p.Load(a.PC, a.Addr, insts)

@@ -8,6 +8,8 @@ import (
 	"reflect"
 	"testing"
 
+	"lva/internal/core"
+	"lva/internal/fullsys"
 	"lva/internal/memsim"
 	"lva/internal/obs/prov"
 	"lva/internal/workloads"
@@ -21,13 +23,14 @@ func TestProvOffIsFree(t *testing.T) {
 	if prov.Enabled() {
 		t.Fatal("provenance unexpectedly enabled")
 	}
+	dp := lvaPoint(workloads.NewCanneal(), core.DefaultConfig(), DefaultSeed)
 	allocs := testing.AllocsPerRun(1000, func() {
 		pc := provBegin(0)
 		if pc.on() {
 			t.Error("provCtx on with no ledger")
 		}
 		pc.point("fig4", "lva/canneal", "ctr", prov.RouteExec, prov.CounterNone,
-			provWhyOutputRow, "key", nil, provStagesRunExec, "")
+			provWhyOutputRow, dp, nil, provStagesRunExec, "")
 		pc.stage("exec fig4/lva/canneal", "", "", nil)
 	})
 	if allocs != 0 {
@@ -161,7 +164,7 @@ func TestTraceStoreCorruptFooterReRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	st := ensureStream(streamPrecise, w, DefaultSeed)
+	st := ensureStream(precisePoint(w, DefaultSeed))
 	if st.path == "" {
 		t.Fatal("initial recording failed")
 	}
@@ -181,15 +184,14 @@ func TestTraceStoreCorruptFooterReRecords(t *testing.T) {
 
 	EnableProvenance()
 	defer DisableProvenance()
-	st2 := ensureStream(streamPrecise, w, DefaultSeed)
+	st2 := ensureStream(precisePoint(w, DefaultSeed))
 	if st2.res != want {
 		t.Errorf("re-recorded result differs from original:\nwant %+v\ngot  %+v", want, st2.res)
 	}
 	if st2.path == "" {
 		t.Fatal("re-recording did not restore the on-disk stream")
 	}
-	key, _, _, _ := streamSpec(streamPrecise, w, DefaultSeed)
-	if _, _, err := readStreamHeader(st2.path, key); err != nil {
+	if _, _, err := readStreamHeader(st2.path, precisePoint(w, DefaultSeed).key()); err != nil {
 		t.Errorf("re-recorded stream footer unreadable: %v", err)
 	}
 	if ts := TraceCounters(); ts.Recordings != 1 {
@@ -216,10 +218,10 @@ func TestTraceStoreCorruptFooterReRecords(t *testing.T) {
 
 // TestTraceStoreCorruptChunkFallsBackToExec covers the nastier corruption:
 // chunk data is garbage but the footer still parses, so the store trusts
-// the file and the failure only surfaces mid-decode. The replay path must
-// fall back to kernel execution with the exact same result — a partial
-// stream is never served — and the provenance record must say the replay
-// failed.
+// the file and the failure only surfaces mid-decode. A counter batch's
+// replay group must fall back to kernel execution with the exact same
+// result — a partial stream is never served — and the provenance record
+// must say the replay failed.
 func TestTraceStoreCorruptChunkFallsBackToExec(t *testing.T) {
 	if raceEnabled {
 		t.Skip("recording plus fallback execution exceed the race budget")
@@ -232,7 +234,7 @@ func TestTraceStoreCorruptChunkFallsBackToExec(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	st := ensureStream(streamPrecise, w, DefaultSeed)
+	st := ensureStream(precisePoint(w, DefaultSeed))
 	if st.path == "" {
 		t.Fatal("recording failed")
 	}
@@ -251,8 +253,7 @@ func TestTraceStoreCorruptChunkFallsBackToExec(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Close()
-	key, _, _, _ := streamSpec(streamPrecise, w, DefaultSeed)
-	if _, _, err := readStreamHeader(st.path, key); err != nil {
+	if _, _, err := readStreamHeader(st.path, precisePoint(w, DefaultSeed).key()); err != nil {
 		t.Fatalf("test setup: footer should still read after chunk corruption: %v", err)
 	}
 
@@ -262,15 +263,17 @@ func TestTraceStoreCorruptChunkFallsBackToExec(t *testing.T) {
 
 	EnableProvenance()
 	defer DisableProvenance()
-	got := replayLVAPoint(w, cfg, DefaultSeed, 0)
+	b := newBatch("corrupt-chunk")
+	got := b.ctrPoint("lva/"+w.Name(), lvaPoint(w, cfg, DefaultSeed))
+	b.run()
 
 	mc := memsim.DefaultConfig()
 	mc.Attach = memsim.AttachLVA
 	mc.Approx = cfg
 	sim := memsim.New(mc)
 	w.Run(sim, DefaultSeed)
-	if want := sim.Result(); got != want {
-		t.Errorf("fallback result differs from direct execution:\nwant %+v\ngot  %+v", want, got)
+	if want := sim.Result(); *got != want {
+		t.Errorf("fallback result differs from direct execution:\nwant %+v\ngot  %+v", want, *got)
 	}
 	if ts := TraceCounters(); ts.ExecPoints != 1 || ts.ReplayPoints != 0 {
 		t.Errorf("counters = %+v, want 1 exec point and 0 replay points", ts)
@@ -282,7 +285,7 @@ func TestTraceStoreCorruptChunkFallsBackToExec(t *testing.T) {
 	}
 	found := false
 	for _, r := range m.Records {
-		if r.Figure == "sweep" && r.Why == provWhyReplayFail && r.Route == string(prov.RouteExec) {
+		if r.Figure == "corrupt-chunk" && r.Why == provWhyReplayFail && r.Route == string(prov.RouteExec) {
 			found = true
 		}
 	}
@@ -306,7 +309,7 @@ func TestFullSystemFallsBackWithoutRecording(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantPrecise, want4 := FullSystemResult(w, 4)
-	st := ensureStream(streamPrecise, w, DefaultSeed)
+	st := ensureStream(precisePoint(w, DefaultSeed))
 	if st.path == "" {
 		t.Fatal("recording failed")
 	}
@@ -370,5 +373,61 @@ func TestFullSystemFallsBackWithoutRecording(t *testing.T) {
 				t.Errorf("%d fullsys points on route exec, want %d", exec, want)
 			}
 		})
+	}
+}
+
+// TestFullsysPointIdentity pins the phase-2 design-point identity:
+// fingerprints and memo cells cover the whole full-system configuration,
+// so another machine or training lane under a Figure 10 label gets its own
+// record, while a configuration Figure 10 already ran (ext-mlp's Table II
+// row) is a memo hit that adds no record.
+func TestFullsysPointIdentity(t *testing.T) {
+	SetTraceDir(t.TempDir())
+	defer SetTraceDir("")
+	ResetRunCache()
+	defer ResetRunCache()
+	EnableProvenance()
+	defer DisableProvenance()
+	w := workloads.NewSwaptions()
+
+	FullSystemResult(w, 4)
+	narrow := fullsys.DefaultConfig()
+	narrow.ROB, narrow.MSHRs = 16, 4
+	runFullsys(w, narrow)
+	acfg := BaselineFor(w)
+	acfg.Degree = 4
+	acfg.ValueDelay = 1
+	slow := fullsys.DefaultConfig()
+	slow.Approx = &acfg
+	slow.TrainingLane = fullsys.DefaultTrainingLane()
+	runFullsys(w, slow)
+
+	fingerprints := func() map[string]uint64 {
+		_, m := provManifest(t)
+		if problems := m.Validate(); len(problems) != 0 {
+			t.Fatalf("manifest does not reconcile:\n%v", problems)
+		}
+		fps := make(map[string]uint64)
+		for _, r := range m.Records {
+			if r.Figure != "fullsys" {
+				continue
+			}
+			if r.Count != 1 {
+				t.Errorf("fullsys record %s (%s) has count %d, want 1", r.Label, r.Fingerprint, r.Count)
+			}
+			fps[r.Fingerprint] += r.Count
+		}
+		return fps
+	}
+	fps := fingerprints()
+	if want := 1 + len(fullsysDegrees) + 2; len(fps) != want {
+		t.Errorf("%d distinct fullsys fingerprints, want %d (Figure 10's sweep, ROB-16/MSHR-4, slow lane)", len(fps), want)
+	}
+
+	tableII := fullsys.DefaultConfig()
+	tableII.ROB, tableII.MSHRs = 32, 8
+	runFullsys(w, tableII)
+	if again := fingerprints(); !reflect.DeepEqual(again, fps) {
+		t.Errorf("re-running Figure 10's precise machine added records:\nbefore %v\nafter  %v", fps, again)
 	}
 }

@@ -54,14 +54,6 @@ func WriteProvManifest(w io.Writer) error {
 	return prov.WriteManifest(w, prov.Active(), ProvCounters())
 }
 
-// provFP is the canonical short fingerprint of a design-point key — the
-// same identity the run cache deduplicates on, hashed like streamFile
-// hashes stream keys.
-func provFP(key string) string {
-	sum := sha256.Sum256([]byte(key))
-	return hex.EncodeToString(sum[:8])
-}
-
 // provFlowID names the Perfetto flow that links a recording span to the
 // spans that later consume the stream.
 func provFlowID(key string) uint64 {
@@ -85,21 +77,20 @@ const (
 	provWhyReplayFail   = "replay failed; executed"
 	provWhyReplayOff    = "replay disabled; executed through the run cache"
 	provWhyOutputRow    = "output-error row: kernel arithmetic required"
-	provWhySweepExec    = "sweep point needs output error or feedback kernel; executed"
+	provWhySweepExec    = "sweep point needs output error; executed"
 	provWhyStream       = "phase-2 model streams the precise recording"
 	provWhyMemRecord    = "no readable recording; re-recorded in memory and streamed"
 )
 
 // Span stage paths, shared so records allocate no per-emit slices.
 var (
-	provStagesFooter      = []string{"schedule", "tracestore", "footer", "figure-append"}
-	provStagesReplay      = []string{"schedule", "tracestore", "replay", "figure-append"}
-	provStagesCtrExec     = []string{"schedule", "tracestore", "exec", "figure-append"}
-	provStagesRunExec     = []string{"schedule", "runcache", "exec", "figure-append"}
-	provStagesRecord      = []string{"schedule", "runcache", "capture-stream"}
-	provStagesSweepReplay = []string{"schedule", "tracestore", "replay", "sweep-append"}
-	provStagesSweepExec   = []string{"schedule", "runcache", "exec", "sweep-append"}
-	provStagesStream      = []string{"schedule", "tracestore", "stream", "figure-append"}
+	provStagesFooter    = []string{"schedule", "tracestore", "footer", "figure-append"}
+	provStagesReplay    = []string{"schedule", "tracestore", "replay", "figure-append"}
+	provStagesCtrExec   = []string{"schedule", "tracestore", "exec", "figure-append"}
+	provStagesRunExec   = []string{"schedule", "runcache", "exec", "figure-append"}
+	provStagesRecord    = []string{"schedule", "runcache", "capture-stream"}
+	provStagesSweepExec = []string{"schedule", "runcache", "exec", "sweep-append"}
+	provStagesStream    = []string{"schedule", "tracestore", "stream", "figure-append"}
 )
 
 // provCtx anchors one serving stage: the active ledger (nil = off) plus
@@ -122,10 +113,11 @@ func provBegin(queued time.Duration) provCtx {
 
 func (p provCtx) on() bool { return p.l != nil }
 
-// point emits the provenance record of one design-point evaluation.
-// st supplies the consumed (or produced) artifact identity; served marks
-// scheduling-dependent memo-vs-fresh detail ("" when not applicable).
-func (p provCtx) point(fig, label, sched string, route prov.Route, counter, why, key string,
+// point emits the provenance record of one evaluation of dp, fingerprinted
+// by dp.hash(). st supplies the consumed (or produced) artifact identity;
+// served marks scheduling-dependent memo-vs-fresh detail ("" when not
+// applicable).
+func (p provCtx) point(fig, label, sched string, route prov.Route, counter, why string, dp designPoint,
 	st *gridStream, stages []string, served string) {
 	if p.l == nil {
 		return
@@ -136,7 +128,7 @@ func (p provCtx) point(fig, label, sched string, route prov.Route, counter, why,
 		Scheduler:     sched,
 		Route:         route,
 		Counter:       counter,
-		Fingerprint:   provFP(key),
+		Fingerprint:   dp.hash(),
 		Justification: why,
 		Stages:        stages,
 	}

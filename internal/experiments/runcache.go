@@ -1,28 +1,28 @@
 package experiments
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"lva/internal/memsim"
 	"lva/internal/obs/prov"
-	"lva/internal/workloads"
 )
 
 // The run cache is the deduplicating layer every phase-1 simulation flows
-// through: RunPrecise, RunLVA, RunLVP and RunPrefetch all memoize on a
-// canonical fingerprint of (attach mode, workload and its parameters,
-// approximator/prefetcher configuration, seed). The paper's evaluation grid
+// through: RunPrecise, RunLVA, RunLVP and RunPrefetch all memoize on their
+// design point's key() (designpoint.go). The paper's evaluation grid
 // shares many design points — the Table II baseline run of each benchmark
 // is needed by Table I, Figures 1, 4, 5, 7, 9, 12 and three ablations — so
 // regenerating everything in one process simulates each point exactly once.
 //
-// Semantics are singleflight: the first caller of a fingerprint simulates
-// while concurrent callers of the same fingerprint block on its once-cell
-// and then share the result. Because every kernel is a deterministic
-// function of (workload, config, seed), a memoized result is byte-identical
-// to a recomputation, and figures are unchanged by caching or concurrency.
+// Semantics are singleflight: the first caller of a point simulates while
+// concurrent callers of the same point block on its memo cell and then
+// share the result. Because every kernel is a deterministic function of
+// its design point, a memoized result is byte-identical to a
+// recomputation, and figures are unchanged by caching or concurrency. The
+// same memo store holds the engine's other per-point results (recordings,
+// replayed counters, phase-2 runs) under their own memo kinds.
 
 // RunCacheStats is a snapshot of the process-wide run-cache counters.
 type RunCacheStats struct {
@@ -49,33 +49,75 @@ func (s RunCacheStats) DedupFraction() float64 {
 	return float64(newHits) / float64(total)
 }
 
-type runCell struct {
-	once sync.Once
-	r    RunResult
-}
+var runCacheOff atomic.Bool
 
-var (
-	runCells    sync.Map // canonical fingerprint -> *runCell
-	runCacheOff atomic.Bool
+// memoKind separates what the memo holds for one design point; a point
+// may have one cell of each kind.
+type memoKind uint8
+
+const (
+	memoRun     memoKind = iota // RunResult of a kernel execution (cachedRun)
+	memoStream                  // *gridStream: the point's recording (ensureStream)
+	memoReplay                  // memsim.Result of a precise-stream replay (serveReplay)
+	memoFullsys                 // fullsys.Result of a phase-2 point (runFullsys)
 )
 
-// runKey builds the canonical fingerprint of one simulation point. %#v on
-// the workload spells out its concrete type and every calibration
-// parameter (the structs are flat value types), so two instances describe
-// the same simulation iff their keys are equal; cfg carries the attachment
-// configuration the same way.
-func runKey(attach string, w workloads.Workload, cfg string, seed uint64) string {
-	return fmt.Sprintf("%s|%#v|%s|seed=%d", attach, w, cfg, seed)
+type memoKey struct {
+	kind memoKind
+	key  string
 }
 
-// cachedRun returns the memoized result for key, simulating at most once
-// per process. label names the point on the run timeline (executed
-// simulations become spans on the kernel-simulation lanes; memo hits become
-// instants). precise marks baseline runs for hit accounting. Counters live
-// on the obs registry (one counter surface for lva.go, lvaexp -v and
+type memoCell struct {
+	once sync.Once
+	v    any
+}
+
+// memo is the engine's one memo store, keyed by kind and design-point
+// key. ResetRunCache empties it.
+var memo sync.Map // memoKey -> *memoCell
+
+// memoOnce returns the value of (kind, dp), computing it with fill at most
+// once per process: the first caller fills while concurrent callers block
+// on the cell and then share the value. hit reports that another call
+// filled it.
+func memoOnce[T any](kind memoKind, dp designPoint, fill func() T) (v T, hit bool) {
+	var k any = memoKey{kind, dp.key()}
+	c, ok := memo.Load(k)
+	if !ok {
+		c, _ = memo.LoadOrStore(k, new(memoCell))
+	}
+	cell := c.(*memoCell)
+	hit = true
+	cell.once.Do(func() {
+		hit = false
+		cell.v = fill()
+	})
+	return cell.v.(T), hit
+}
+
+// memoPeek returns the value stored for (kind, dp) by memoPut, if any. It
+// never waits: two passes racing over one point both compute it and store
+// equal values, which is cheaper than serializing the passes.
+func memoPeek[T any](kind memoKind, dp designPoint) (v T, ok bool) {
+	c, ok := memo.Load(memoKey{kind, dp.key()})
+	if !ok {
+		return v, false
+	}
+	return c.(*memoCell).v.(T), true
+}
+
+// memoPut stores v for (kind, dp); see memoPeek.
+func memoPut(kind memoKind, dp designPoint, v any) {
+	memo.Store(memoKey{kind, dp.key()}, &memoCell{v: v})
+}
+
+// cachedRun returns the memoized phase-1 run of dp, simulating it with sim
+// at most once per process. Executed simulations become spans on the run
+// timeline's kernel-simulation lanes, memo hits become instants. Counters
+// live on the obs registry (one counter surface for lva.go, lvaexp -v and
 // -metrics alike); the wall-time histogram is volatile and only wraps
 // simulations that actually execute.
-func cachedRun(key, label string, precise bool, sim func() RunResult) RunResult {
+func cachedRun(dp designPoint, sim func() RunResult) RunResult {
 	m := eng()
 	m.cacheLookups.Inc()
 	timed := func() RunResult {
@@ -84,7 +126,7 @@ func cachedRun(key, label string, precise bool, sim func() RunResult) RunResult 
 		r := sim()
 		m.runWall.Observe(time.Since(start).Seconds())
 		if tl != nil {
-			tl.span(tlPidSims, tl.nextSimTid(), "sim "+label, "sim", start,
+			tl.span(tlPidSims, tl.nextSimTid(), "sim "+dp.label(), "sim", start,
 				map[string]any{"cache": "miss"})
 		}
 		return r
@@ -92,31 +134,27 @@ func cachedRun(key, label string, precise bool, sim func() RunResult) RunResult 
 	if runCacheOff.Load() {
 		m.cacheSims.Inc()
 		if l := prov.Active(); l != nil {
-			l.Call(provFP(key), label, false)
+			l.Call(dp.hash(), dp.label(), false)
 		}
 		return timed()
 	}
-	c, _ := runCells.LoadOrStore(key, &runCell{})
-	cell := c.(*runCell)
-	hit := true
-	cell.once.Do(func() {
-		hit = false
+	r, hit := memoOnce(memoRun, dp, func() RunResult {
 		m.cacheSims.Inc()
-		cell.r = timed()
+		return timed()
 	})
 	if l := prov.Active(); l != nil {
-		l.Call(provFP(key), label, hit)
+		l.Call(dp.hash(), dp.label(), hit)
 	}
 	if hit {
 		m.cacheHits.Inc()
-		if precise {
+		if dp.mem.Attach == memsim.AttachNone {
 			m.preciseHits.Inc()
 		}
 		if tl := timeline.Load(); tl != nil {
-			tl.instant(tlPidSims, 0, "hit "+label, "cache", nil)
+			tl.instant(tlPidSims, 0, "hit "+dp.label(), "cache", nil)
 		}
 	}
-	return cell.r
+	return r
 }
 
 // RunCacheCounters returns a snapshot of the run-cache counters.
@@ -135,22 +173,18 @@ func RunCacheCounters() RunCacheStats {
 // enabled.
 func SetRunCacheEnabled(on bool) { runCacheOff.Store(!on) }
 
-// ResetRunCache drops every memoized run — phase-1 results, grid-trace
-// recordings, replayed counter points and full-system sweeps — and zeroes
+// ResetRunCache drops every memoized value — phase-1 results, grid-trace
+// recordings, replayed counter points and phase-2 results — and zeroes
 // the counters, restoring process-cold behaviour. (Recordings in an
 // explicit SetTraceDir/LVA_TRACE_DIR store survive; the per-process temp
 // store is deleted.) It is intended for tests and benchmarks and must not
 // race with running experiments.
 func ResetRunCache() {
+	memo.Range(func(k, _ any) bool {
+		memo.Delete(k)
+		return true
+	})
 	resetTraceStore()
-	runCells.Range(func(k, _ any) bool {
-		runCells.Delete(k)
-		return true
-	})
-	fsCells.Range(func(k, _ any) bool {
-		fsCells.Delete(k)
-		return true
-	})
 	m := eng()
 	m.cacheHits.Reset()
 	m.cacheSims.Reset()

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"lva/internal/fullsys"
 	"lva/internal/workloads"
 )
 
@@ -37,19 +38,116 @@ func TestRunCacheSingleflight(t *testing.T) {
 	}
 }
 
-// TestRunCacheKeysDistinguishAttachModes guards the fingerprint: the same
-// workload/config/seed must not collide across attach modes.
+// TestRunCacheKeysDistinguishAttachModes guards the design-point identity:
+// the same workload/config/seed must not collide across attach modes,
+// seeds, prefetch degrees or phase-2 configurations; equal phase-2
+// configurations behind distinct pointers are one point; and one point's
+// memo kinds are separate cells.
 func TestRunCacheKeysDistinguishAttachModes(t *testing.T) {
 	w := workloads.NewSwaptions()
-	keys := map[string]bool{
-		runKey("precise", w, "", DefaultSeed):     true,
-		runKey("lva", w, "cfg", DefaultSeed):      true,
-		runKey("lvp", w, "cfg", DefaultSeed):      true,
-		runKey("prefetch", w, "cfg", DefaultSeed): true,
-		runKey("lva", w, "cfg", DefaultSeed+1):    true,
+	cfg := BaselineFor(w)
+	approx := func(degree int, lane *fullsys.TrainingLaneConfig) fullsys.Config {
+		acfg := BaselineFor(w)
+		acfg.Degree = degree
+		acfg.ValueDelay = 1
+		c := fullsys.DefaultConfig()
+		c.Approx = &acfg
+		c.TrainingLane = lane
+		return c
 	}
-	if len(keys) != 5 {
-		t.Fatalf("fingerprints collide: %d distinct keys, want 5", len(keys))
+	rob := fullsys.DefaultConfig()
+	rob.ROB = 16
+	mshr := fullsys.DefaultConfig()
+	mshr.MSHRs = 4
+	points := []struct {
+		name string
+		dp   designPoint
+	}{
+		{"precise", precisePoint(w, DefaultSeed)},
+		{"lva", lvaPoint(w, cfg, DefaultSeed)},
+		{"lvp", lvpPoint(w, cfg, DefaultSeed)},
+		{"prefetch-4", prefetchPoint(w, 4, DefaultSeed)},
+		{"prefetch-8", prefetchPoint(w, 8, DefaultSeed)},
+		{"lva seed+1", lvaPoint(w, cfg, DefaultSeed+1)},
+		{"fullsys precise", fullsysPoint(w, fullsys.DefaultConfig(), DefaultSeed)},
+		{"fullsys ROB-16", fullsysPoint(w, rob, DefaultSeed)},
+		{"fullsys MSHR-4", fullsysPoint(w, mshr, DefaultSeed)},
+		{"fullsys degree 4", fullsysPoint(w, approx(4, nil), DefaultSeed)},
+		{"fullsys degree 8", fullsysPoint(w, approx(8, nil), DefaultSeed)},
+		{"fullsys degree 4 slow lane", fullsysPoint(w, approx(4, fullsys.DefaultTrainingLane()), DefaultSeed)},
+	}
+	seen := make(map[string]string)
+	for _, p := range points {
+		k := p.dp.key()
+		if other, ok := seen[k]; ok {
+			t.Errorf("%s and %s share key %q", p.name, other, k)
+		}
+		seen[k] = p.name
+	}
+	a := fullsysPoint(w, approx(4, fullsys.DefaultTrainingLane()), DefaultSeed)
+	b := fullsysPoint(w, approx(4, fullsys.DefaultTrainingLane()), DefaultSeed)
+	if a.key() != b.key() || a.hash() != b.hash() {
+		t.Errorf("equal phase-2 configurations render distinct keys:\n%s\n%s", a.key(), b.key())
+	}
+
+	ResetRunCache()
+	defer ResetRunCache()
+	dp := precisePoint(w, DefaultSeed)
+	for i, kind := range []memoKind{memoRun, memoStream, memoReplay, memoFullsys} {
+		if v, hit := memoOnce(kind, dp, func() int { return i }); hit || v != i {
+			t.Errorf("memo kind %d: got %d (hit %v), want a fresh cell holding %d", kind, v, hit, i)
+		}
+	}
+}
+
+// TestStreamSharesRunCell pins the contract between the trace store and
+// the run cache: recording a stream and the plain Run* call of its design
+// point (precise, and the Table II LVA baseline) share one run-cache cell.
+// Recorded first, the stream's kernel execution serves the Run* call;
+// run first, the store captures directly with one extra execution.
+func TestStreamSharesRunCell(t *testing.T) {
+	w := workloads.NewSwaptions()
+	cases := []struct {
+		kind string
+		run  func() RunResult
+	}{
+		{"precise", func() RunResult { return RunPrecise(w, DefaultSeed) }},
+		{"lvabase", func() RunResult { return RunLVA(w, BaselineFor(w), DefaultSeed) }},
+	}
+	for _, c := range cases {
+		t.Run(c.kind+"/stream-first", func(t *testing.T) {
+			SetTraceDir(t.TempDir())
+			defer SetTraceDir("")
+			ResetRunCache()
+			defer ResetRunCache()
+			if path, err := EnsureGridStream(c.kind, w, DefaultSeed); err != nil || path == "" {
+				t.Fatalf("EnsureGridStream = %q, %v", path, err)
+			}
+			c.run()
+			if s := RunCacheCounters(); s.Simulated != 1 || s.Hits != 1 {
+				t.Errorf("run cache = %+v, want 1 simulated and 1 hit", s)
+			}
+			if ts := TraceCounters(); ts.Recordings != 1 {
+				t.Errorf("Recordings = %d, want 1", ts.Recordings)
+			}
+		})
+		t.Run(c.kind+"/run-first", func(t *testing.T) {
+			SetTraceDir(t.TempDir())
+			defer SetTraceDir("")
+			ResetRunCache()
+			defer ResetRunCache()
+			c.run()
+			before := RunCacheCounters().Simulated
+			if path, err := EnsureGridStream(c.kind, w, DefaultSeed); err != nil || path == "" {
+				t.Fatalf("EnsureGridStream = %q, %v", path, err)
+			}
+			if got := RunCacheCounters().Simulated; got != before+1 {
+				t.Errorf("Simulated = %d after recording, want %d (one direct capture)", got, before+1)
+			}
+			if ts := TraceCounters(); ts.Recordings != 1 {
+				t.Errorf("Recordings = %d, want 1", ts.Recordings)
+			}
+		})
 	}
 }
 

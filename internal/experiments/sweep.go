@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"lva/internal/core"
-	"lva/internal/memsim"
 	"lva/internal/obs"
 	"lva/internal/obs/prov"
 	"lva/internal/workloads"
@@ -37,13 +36,6 @@ type SweepSpec struct {
 	Proportional bool
 	// Seed is the workload input seed (0 means DefaultSeed).
 	Seed uint64
-	// CountersOnly drops the output-error column (OutputError is reported
-	// as 0 for every point). In exchange, feedback-free benchmarks replay
-	// the recorded precise stream instead of re-executing the kernel at
-	// each design point — the cheap way to run huge cartesian grids when
-	// only MPKI/coverage/fetch counters are needed. Benchmarks with
-	// approximation feedback still execute.
-	CountersOnly bool
 }
 
 // normalize fills defaults and returns the effective spec.
@@ -129,19 +121,19 @@ func (p SweepPoint) CSVRow() []string {
 }
 
 // RunSweep executes the exploration and returns one point per combination,
-// benchmark-major in the order given. The precise baselines warm up
-// concurrently through the shared run cache before the cartesian product is
-// expanded, and the points themselves run on a Parallelism-bounded worker
-// pool admitting through the same process-wide gate as the figure drivers;
-// results and the optional progress callback are deterministic in count,
-// and the returned slice order is always the full cartesian order
-// regardless of completion order.
+// benchmark-major in the order given. Every configuration is validated
+// before anything simulates; the precise baselines then warm up
+// concurrently through the shared run cache, and the points themselves run
+// on a Parallelism-bounded worker pool admitting through the same
+// process-wide gate as the figure drivers; results and the optional
+// progress callback are deterministic in count, and the returned slice
+// order is always the full cartesian order regardless of completion order.
 func RunSweep(spec SweepSpec, progress func(done, total int)) ([]SweepPoint, error) {
 	n := spec.normalize()
 	total := spec.Points()
 
-	// Resolve every benchmark first so bad names fail before any simulation,
-	// then warm their precise baselines concurrently through the run cache.
+	// Resolve every benchmark and validate every configuration first, so
+	// bad names and parameters fail before any simulation.
 	ws := make([]workloads.Workload, len(n.Benchmarks))
 	for i, bench := range n.Benchmarks {
 		w, err := workloads.ByName(bench)
@@ -150,27 +142,17 @@ func RunSweep(spec SweepSpec, progress func(done, total int)) ([]SweepPoint, err
 		}
 		ws[i] = w
 	}
-	warm := newBatch("sweep")
-	preciseRuns := make([]RunResult, len(ws))
-	for i, w := range ws {
-		i, w := i, w
-		warm.add("warm-precise/"+w.Name(), func() { preciseRuns[i] = RunPrecise(w, n.Seed) })
-	}
-	warm.run()
 
 	// Expand the cartesian product up front so workers fill a fixed slice.
 	type job struct {
-		idx     int
-		bench   string
-		w       workloads.Workload
-		precise RunResult
-		cfg     core.Config
-		point   SweepPoint
+		idx   int
+		bench string
+		bi    int // index into ws and preciseRuns
+		cfg   core.Config
+		point SweepPoint
 	}
 	var jobs []job
 	for bi, bench := range n.Benchmarks {
-		w := ws[bi]
-		precise := preciseRuns[bi]
 		for _, ghb := range n.GHBs {
 			for _, win := range n.Windows {
 				for _, deg := range n.Degrees {
@@ -190,8 +172,7 @@ func RunSweep(spec SweepSpec, progress func(done, total int)) ([]SweepPoint, err
 									return nil, err
 								}
 								jobs = append(jobs, job{
-									idx: len(jobs), bench: bench, w: w,
-									precise: precise, cfg: cfg,
+									idx: len(jobs), bench: bench, bi: bi, cfg: cfg,
 									point: SweepPoint{
 										Benchmark: bench, GHB: ghb, Window: win,
 										Degree: deg, Delay: delay,
@@ -205,6 +186,15 @@ func RunSweep(spec SweepSpec, progress func(done, total int)) ([]SweepPoint, err
 			}
 		}
 	}
+
+	// Warm the precise baselines concurrently through the run cache.
+	warm := newBatch("sweep")
+	preciseRuns := make([]RunResult, len(ws))
+	for i, w := range ws {
+		i, w := i, w
+		warm.add("warm-precise/"+w.Name(), func() { preciseRuns[i] = RunPrecise(w, n.Seed) })
+	}
+	warm.run()
 
 	// A fixed worker pool (rather than one goroutine per point) keeps huge
 	// sweeps cheap; every point still admits through the shared gate so
@@ -225,36 +215,28 @@ func RunSweep(spec SweepSpec, progress func(done, total int)) ([]SweepPoint, err
 		go func() {
 			defer wg.Done()
 			for j := range feed {
-				var sim memsim.Result
+				var run RunResult
 				pt := j.point
-				if n.CountersOnly && replayEnabled() && j.w.FeedbackFree() {
-					gatedQ("sweep/"+j.bench, func(queued time.Duration) {
-						sim = replayLVAPoint(j.w, j.cfg, n.Seed, queued)
-					})
-				} else {
-					var run RunResult
-					gatedQ("sweep/"+j.bench, func(queued time.Duration) {
-						pc := provBegin(queued)
-						run = RunLVA(j.w, j.cfg, n.Seed)
-						if pc.on() {
-							pc.point("sweep", "lva/"+j.bench, "sweep", prov.RouteExec, prov.CounterNone,
-								provWhySweepExec, runKey("lva", j.w, fmt.Sprintf("%#v", j.cfg), n.Seed),
-								nil, provStagesSweepExec, "")
-						}
-					})
-					sim = run.Sim
-					if !n.CountersOnly {
-						pt.OutputError = ErrorVs(run, j.precise)
+				precise := preciseRuns[j.bi]
+				gatedQ("sweep/"+j.bench, func(queued time.Duration) {
+					pc := provBegin(queued)
+					dp := lvaPoint(ws[j.bi], j.cfg, n.Seed)
+					run = simulate(dp)
+					if pc.on() {
+						pc.point("sweep", "lva/"+j.bench, "sweep", prov.RouteExec, prov.CounterNone,
+							provWhySweepExec, dp, nil, provStagesSweepExec, "")
 					}
-				}
+				})
+				sim := run.Sim
+				pt.OutputError = ErrorVs(run, precise)
 				pt.RawMPKI = sim.RawMPKI()
 				pt.EffectiveMPKI = sim.EffectiveMPKI()
 				pt.Coverage = sim.Coverage()
 				pt.Fetches = sim.Fetches
-				if p := j.precise.Sim.RawMPKI(); p > 0 {
+				if p := precise.Sim.RawMPKI(); p > 0 {
 					pt.NormalizedMPKI = pt.EffectiveMPKI / p
 				}
-				if p := float64(j.precise.Sim.Fetches); p > 0 {
+				if p := float64(precise.Sim.Fetches); p > 0 {
 					pt.NormFetches = float64(pt.Fetches) / p
 				}
 				out[j.idx] = pt

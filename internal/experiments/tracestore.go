@@ -2,8 +2,6 @@ package experiments
 
 import (
 	"bufio"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -13,10 +11,8 @@ import (
 	"path/filepath"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"lva/internal/memsim"
-	"lva/internal/obs/attr"
 	"lva/internal/obs/prov"
 	"lva/internal/trace"
 	"lva/internal/workloads"
@@ -139,20 +135,12 @@ func traceDir() (string, error) {
 	return traceDirState.lazy, nil
 }
 
-// resetTraceStore forgets every ensured stream and (only) the lazy
-// per-process directory — deleting it, since its recordings would
-// otherwise defeat the process-cold semantics ResetRunCache promises.
-// An explicit or LVA_TRACE_DIR directory survives: those are opted-in
-// persistent stores.
+// resetTraceStore forgets (only) the lazy per-process directory —
+// deleting it, since its recordings would otherwise defeat the
+// process-cold semantics ResetRunCache promises — and zeroes the store
+// counters. An explicit or LVA_TRACE_DIR directory survives: those are
+// opted-in persistent stores.
 func resetTraceStore() {
-	recCells.Range(func(k, _ any) bool {
-		recCells.Delete(k)
-		return true
-	})
-	replayCells.Range(func(k, _ any) bool {
-		replayCells.Delete(k)
-		return true
-	})
 	traceDirState.mu.Lock()
 	if traceDirState.lazy != "" {
 		os.RemoveAll(traceDirState.lazy)
@@ -173,11 +161,10 @@ const (
 	streamLVABase = "lvabase"
 )
 
-// gridStream is the once-cell of one recorded stream. res always holds
-// the recording run's phase-1 counters; path is empty when no readable
+// gridStream is a recorded stream's memo value. res always holds the
+// recording run's phase-1 counters; path is empty when no readable
 // recording exists (replay consumers must then fall back to execution).
 type gridStream struct {
-	once sync.Once
 	path string
 	hdr  trace.GridHeader
 	res  memsim.Result
@@ -189,57 +176,34 @@ type gridStream struct {
 	artSize int64
 }
 
-var recCells sync.Map // kind + "|" + runKey -> *gridStream
-
-// replayCells memoizes replay-simulated counter results by design-point
-// identity, so regenerating a figure twice in one process costs zero decode
-// passes the second time. Deliberately separate from runCells: a replayed
-// point has no kernel Output, which every runCell promises its callers.
-var replayCells sync.Map // runKey("replay", ...) -> memsim.Result
-
-// streamSpec maps a stream kind to the run-cache identity and simulator
-// configuration of its recording run. The keys are exactly RunPrecise's
-// and RunLVA's, so a recording and a plain Run* call share one runCell —
-// whichever happens first, the kernel executes once.
-func streamSpec(kind string, w workloads.Workload, seed uint64) (key, label string, precise bool, cfg memsim.Config) {
-	cfg = memsim.DefaultConfig()
-	switch kind {
-	case streamPrecise:
-		cfg.Attach = memsim.AttachNone
-		return runKey("precise", w, "", seed), "precise/" + w.Name(), true, cfg
-	case streamLVABase:
-		cfg.Attach = memsim.AttachLVA
-		cfg.Approx = BaselineFor(w)
-		return runKey("lva", w, fmt.Sprintf("%#v", cfg.Approx), seed), "lva/" + w.Name(), false, cfg
+// streamKind names the recording dp is: the precise stream or the Table II
+// LVA baseline's.
+func streamKind(dp designPoint) string {
+	if dp.mem.Attach == memsim.AttachNone {
+		return streamPrecise
 	}
-	panic("experiments: unknown stream kind " + kind)
+	return streamLVABase
 }
 
-// streamFile names a stream on disk by the hash of its run-cache key.
-func streamFile(key string) string {
-	sum := sha256.Sum256([]byte(key))
-	return hex.EncodeToString(sum[:8]) + ".lvag"
-}
-
-// ensureStream returns the stream cell for (kind, w, seed), recording it
-// on first use. Resolution order: a readable on-disk recording (footer
-// only — no kernel work, no decode); else a kernel execution with the
-// grid capture sink attached, run through the run-cache singleflight so
-// it doubles as the memoized Run* result for that design point.
-func ensureStream(kind string, w workloads.Workload, seed uint64) *gridStream {
-	key, label, precise, cfg := streamSpec(kind, w, seed)
-	c, _ := recCells.LoadOrStore(kind+"|"+key, &gridStream{})
-	cell := c.(*gridStream)
-	cell.once.Do(func() {
+// ensureStream returns the recording of dp — precisePoint or the Table II
+// LVA baseline point — recording it on first use. Resolution order: a
+// readable on-disk recording named dp.hash() (footer only — no kernel
+// work, no decode); else a kernel execution with the grid capture sink
+// attached, run through the run-cache singleflight so it doubles as the
+// memoized Run* result for that design point.
+func ensureStream(dp designPoint) *gridStream {
+	st, _ := memoOnce(memoStream, dp, func() *gridStream {
+		st := new(gridStream)
+		key := dp.key()
 		pc := provBegin(0)
 		why := provWhyColdRecord
 		path := ""
 		if dir, err := traceDir(); err == nil {
-			path = filepath.Join(dir, streamFile(key))
+			path = filepath.Join(dir, dp.hash()+".lvag")
 			hdr, res, rerr := readStreamHeader(path, key)
 			if rerr == nil {
-				cell.path, cell.hdr, cell.res = path, hdr, res
-				return
+				st.path, st.hdr, st.res = path, hdr, res
+				return st
 			}
 			if !errors.Is(rerr, fs.ErrNotExist) {
 				// A file exists but its footer is unreadable (truncated
@@ -249,34 +213,36 @@ func ensureStream(kind string, w workloads.Workload, seed uint64) *gridStream {
 			}
 		}
 		recorded := false
-		r := cachedRun(key, label, precise, func() RunResult {
-			rr, hdr, err := recordStream(w, cfg, seed, key, path)
+		r := cachedRun(dp, func() RunResult {
+			rr, hdr, err := recordStream(dp, path)
 			if err == nil && path != "" {
 				recorded = true
-				cell.path, cell.hdr = path, hdr
+				st.path, st.hdr = path, hdr
 			}
 			return rr
 		})
-		cell.res = r.Sim
-		if !recorded && path != "" && cell.path == "" {
-			// The runCell was already filled by a plain Run* call (an
+		st.res = r.Sim
+		if !recorded && path != "" && st.path == "" {
+			// The run cell was already filled by a plain Run* call (an
 			// error figure got to this design point first), so the
 			// singleflight closure never ran. Capture directly: one extra
 			// kernel execution, at most once per stream and process.
-			if _, hdr, err := recordStream(w, cfg, seed, key, path); err == nil {
-				cell.path, cell.hdr = path, hdr
+			if _, hdr, err := recordStream(dp, path); err == nil {
+				st.path, st.hdr = path, hdr
 				eng().cacheSims.Inc()
 				recorded = true
 			}
 		}
 		if recorded && pc.on() {
-			pc.point("tracestore", kind+"/"+w.Name(), "store", prov.RouteExec,
-				prov.CounterRecording, why, key, cell, provStagesRecord, "")
-			pc.stage("record "+kind+"/"+w.Name(), "s", key,
-				map[string]any{"kind": kind, "workload": w.Name(), "why": why})
+			kind := streamKind(dp)
+			pc.point("tracestore", kind+"/"+dp.w.Name(), "store", prov.RouteExec,
+				prov.CounterRecording, why, dp, st, provStagesRecord, "")
+			pc.stage("record "+kind+"/"+dp.w.Name(), "s", key,
+				map[string]any{"kind": kind, "workload": dp.w.Name(), "why": why})
 		}
+		return st
 	})
-	return cell
+	return st
 }
 
 // EnsureGridStream records (or, warm, just locates) the named stream kind
@@ -290,31 +256,34 @@ func EnsureGridStream(kind string, w workloads.Workload, seed uint64) (string, e
 	default:
 		return "", fmt.Errorf("experiments: unknown stream kind %q (want %q or %q)", kind, streamPrecise, streamLVABase)
 	}
+	dp := precisePoint(w, seed)
+	if kind == streamLVABase {
+		dp = lvaPoint(w, BaselineFor(w), seed)
+	}
 	var st *gridStream
-	gated("record/"+w.Name(), func() { st = ensureStream(kind, w, seed) })
+	gated("record/"+w.Name(), func() { st = ensureStream(dp) })
 	if st.path == "" {
 		return "", fmt.Errorf("experiments: recording %s stream of %s failed (no writable trace directory?)", kind, w.Name())
 	}
 	return st.path, nil
 }
 
-// recordStream executes the kernel with the grid capture sink attached
+// recordStream executes dp's kernel with the grid capture sink attached
 // and persists the stream at path (written to a temp file and renamed,
 // so concurrent processes sharing LVA_TRACE_DIR never observe a partial
 // file). The returned RunResult is always valid — a persistence failure
 // only costs the recording, never the simulation.
-func recordStream(w workloads.Workload, cfg memsim.Config, seed uint64, key, path string) (RunResult, trace.GridHeader, error) {
+func recordStream(dp designPoint, path string) (RunResult, trace.GridHeader, error) {
 	var f *os.File
 	err := errors.New("experiments: no trace directory")
 	if path != "" {
 		f, err = os.CreateTemp(filepath.Dir(path), ".lvag-*")
 	}
 	if err != nil {
-		res, _, _ := writeStream(w, cfg, seed, key, nil)
-		return res, trace.GridHeader{}, err
+		return runWith(dp, nil), trace.GridHeader{}, err
 	}
 	bw := bufio.NewWriterSize(f, 1<<16)
-	res, hdr, err := writeStream(w, cfg, seed, key, bw)
+	res, hdr, err := writeStream(dp, bw)
 	if err == nil {
 		err = bw.Flush()
 	}
@@ -332,38 +301,13 @@ func recordStream(w workloads.Workload, cfg memsim.Config, seed uint64, key, pat
 	return res, hdr, nil
 }
 
-// writeStream executes the kernel and, when dst is non-nil, streams its
-// annotated accesses into dst as a grid recording keyed by key, with the
-// run's memsim.Result in the footer. The RunResult is valid whatever the
-// error says: a failed write only costs the recording.
-func writeStream(w workloads.Workload, cfg memsim.Config, seed uint64, key string, dst io.Writer) (RunResult, trace.GridHeader, error) {
-	sim := memsim.New(cfg)
-	var gw *trace.GridWriter
-	if dst != nil {
-		gw = trace.NewGridWriter(dst, w.Name(), key, seed)
-		sim.SetGridCapture(gw)
-	}
-	rec := attrRecorder(w, cfg, seed)
-	if rec != nil {
-		sim.SetAttribution(rec)
-	}
-	pp := phaseProfiler(w, cfg, seed)
-	var ppStart time.Time
-	if pp != nil {
-		sim.SetPhaseProfile(pp)
-		ppStart = time.Now()
-	}
-	out := w.Run(sim, seed)
-	res := RunResult{Output: out, Sim: sim.Result()}
-	if rec != nil {
-		attr.Publish(rec)
-	}
-	if pp != nil {
-		publishPhaseProfile(pp, ppStart)
-	}
-	if gw == nil {
-		return res, trace.GridHeader{}, nil
-	}
+// writeStream executes dp's kernel and streams its annotated accesses
+// into dst as a grid recording keyed by dp.key(), with the run's
+// memsim.Result in the footer. The RunResult is valid whatever the error
+// says: a failed write only costs the recording.
+func writeStream(dp designPoint, dst io.Writer) (RunResult, trace.GridHeader, error) {
+	gw := trace.NewGridWriter(dst, dp.w.Name(), dp.key(), dp.seed)
+	res := runWith(dp, gw)
 	meta, err := json.Marshal(res.Sim)
 	if err != nil {
 		return res, trace.GridHeader{}, err
