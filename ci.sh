@@ -14,19 +14,18 @@
 # `./ci.sh bench [-baseline FILE]` instead runs the benchmark suite once
 # (-benchtime=1x), writes the machine-readable go-test event stream to
 # BENCH_<stamp>.json, and regenerates every figure with `lvaexp -metrics
-# -timeline -manifest -phase` so the deterministic metrics snapshot
+# -timeline -manifest` so the deterministic metrics snapshot
 # (METRICS_<stamp>.json), the Perfetto-loadable run timeline
-# (TIMELINE_<stamp>.json), the provenance manifest (PROV_<stamp>.json),
-# and the phase-observatory snapshot (PHASE_<stamp>.json) are archived
-# next to it; the manifest is then schema-validated and route-reconciled
-# via `lvareport -provenance`, which fails the run on any drift. It then
-# compares the fresh snapshot against a baseline via cmd/benchdiff —
-# FILE when -baseline is given, else the newest committed BENCH_*.json
-# (benchdiff auto-selects and says which; a repo with no prior snapshot
-# skips the compare) — and FAILS on a >15% wall-time regression in any
-# benchmark slower than 1 ms — the perf gate. CI runs this blocking; set
-# BENCHDIFF_FLAGS=-warn-only to demote the compare to advisory (the
-# manual escape hatch for noisy machines).
+# (TIMELINE_<stamp>.json) and the provenance manifest (PROV_<stamp>.json)
+# are archived next to it; the manifest is then schema-validated and
+# route-reconciled via `lvareport -provenance`, which fails the run on any
+# drift. It then compares the fresh snapshot against a baseline via
+# cmd/benchdiff — FILE when -baseline is given, else the newest committed
+# BENCH_*.json (benchdiff auto-selects and says which; a repo with no
+# prior snapshot skips the compare) — and FAILS on a >15% wall-time
+# regression in any benchmark slower than 1 ms — the perf gate. CI runs
+# this blocking; set BENCHDIFF_FLAGS=-warn-only to demote the compare to
+# advisory (the manual escape hatch for noisy machines).
 #
 # `./ci.sh overhead` checks the observability layer's cost: it runs the
 # hot-path micro-benchmarks with the obs registry disabled and enabled and
@@ -58,13 +57,11 @@ if [[ "${1:-}" == "bench" ]]; then
     metrics="METRICS_${stamp}.json"
     tl="TIMELINE_${stamp}.json"
     prov="PROV_${stamp}.json"
-    phase="PHASE_${stamp}.json"
-    echo "==> lvaexp -metrics -timeline -manifest -phase (registry + timeline + provenance + phases) -> ${metrics}, ${tl}, ${prov}, ${phase}"
-    go run ./cmd/lvaexp -metrics "${metrics}" -timeline "${tl}" -manifest "${prov}" -phase "${phase}" all > /dev/null
+    echo "==> lvaexp -metrics -timeline -manifest (registry + timeline + provenance) -> ${metrics}, ${tl}, ${prov}"
+    go run ./cmd/lvaexp -metrics "${metrics}" -timeline "${tl}" -manifest "${prov}" all > /dev/null
     echo "ci.sh: metrics snapshot written to ${metrics}"
     echo "ci.sh: run timeline written to ${tl} (open at https://ui.perfetto.dev)"
     echo "ci.sh: provenance manifest written to ${prov}"
-    echo "ci.sh: phase-observatory snapshot written to ${phase}"
     # Blocking audit gate: the manifest must parse against the schema and
     # its per-route record counts must reconcile exactly with the embedded
     # trace-store counters. A failure means an engine path evaluated a

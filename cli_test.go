@@ -48,8 +48,16 @@ func buildCLI(t *testing.T, name string) string {
 
 func runCLI(t *testing.T, bin string, args ...string) (string, string, error) {
 	t.Helper()
+	return runCLIEnv(t, nil, bin, args...)
+}
+
+// runCLIEnv is runCLI with env (KEY=value entries) added to the
+// inherited environment.
+func runCLIEnv(t *testing.T, env []string, bin string, args ...string) (string, string, error) {
+	t.Helper()
 	var stdout, stderr bytes.Buffer
 	cmd := exec.Command(bin, args...)
+	cmd.Env = append(os.Environ(), env...)
 	cmd.Stdout = &stdout
 	cmd.Stderr = &stderr
 	err := cmd.Run()
@@ -77,14 +85,31 @@ func TestLvaexpJSON(t *testing.T) {
 	}
 }
 
+// TestLvaexpUnknownExperiment feeds lvaexp arguments it cannot use: each
+// must exit 2 with its message before anything simulates, so the trace
+// store it points at stays empty.
 func TestLvaexpUnknownExperiment(t *testing.T) {
 	bin := buildCLI(t, "lvaexp")
-	_, stderr, err := runCLI(t, bin, "nosuch")
-	if err == nil {
-		t.Fatal("unknown experiment must exit nonzero")
+	cases := []struct {
+		args []string
+		want string
+	}{
+		{[]string{"nosuch"}, `lvaexp: unknown experiment "nosuch"`},
+		{[]string{"-format", "xml", "table1"}, `lvaexp: unknown format "xml"`},
 	}
-	if !strings.Contains(stderr, "unknown experiment") {
-		t.Fatalf("stderr = %q", stderr)
+	for _, c := range cases {
+		store := t.TempDir()
+		_, stderr, err := runCLIEnv(t, []string{"LVA_TRACE_DIR=" + store}, bin, c.args...)
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("%v: err = %v, want exit status 2", c.args, err)
+		}
+		if !strings.Contains(stderr, c.want) {
+			t.Errorf("%v: stderr = %q, want %q", c.args, stderr, c.want)
+		}
+		if left, err := os.ReadDir(store); err != nil || len(left) != 0 {
+			t.Errorf("%v: trace store holds %d entries (err %v), want none", c.args, len(left), err)
+		}
 	}
 }
 
@@ -192,7 +217,8 @@ func TestLvatraceCaptureInfoReplay(t *testing.T) {
 // must fail with exit status 1 and an lvatrace: message, never a panic.
 func TestLvatraceReplayRejectsBadInput(t *testing.T) {
 	bin := buildCLI(t, "lvatrace")
-	data, err := os.ReadFile(recordSwaptions(t, bin))
+	path := recordSwaptions(t, bin)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,14 +235,21 @@ func TestLvatraceReplayRejectsBadInput(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	var cases [][]string
 	for _, name := range []string{"truncated.lvag", "corrupt.lvag", "text.lvag", "missing.lvag"} {
-		_, stderr, err := runCLI(t, bin, "replay", filepath.Join(dir, name))
+		cases = append(cases, []string{filepath.Join(dir, name)})
+	}
+	// -1 is the documented precise setting; anything lower is a typo, not
+	// another way to ask for a precise replay.
+	cases = append(cases, []string{"-degree", "-5", path})
+	for _, args := range cases {
+		_, stderr, err := runCLI(t, bin, append([]string{"replay"}, args...)...)
 		var exit *exec.ExitError
 		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
-			t.Errorf("%s: err = %v, want exit status 1", name, err)
+			t.Errorf("%v: err = %v, want exit status 1", args, err)
 		}
 		if !strings.Contains(stderr, "lvatrace: ") || strings.Contains(stderr, "panic:") {
-			t.Errorf("%s: stderr = %q, want an lvatrace: message and no panic", name, stderr)
+			t.Errorf("%v: stderr = %q, want an lvatrace: message and no panic", args, stderr)
 		}
 	}
 }
@@ -397,6 +430,35 @@ func TestLvareportAttrSection(t *testing.T) {
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("report missing %q:\n%.2000s", want, out)
+		}
+	}
+}
+
+// TestLvareportRejectsBadArguments checks that lvareport validates every
+// -only id and reads -metrics before it runs or prints anything: a bad
+// invocation exits 2 with its message and an empty report.
+func TestLvareportRejectsBadArguments(t *testing.T) {
+	bin := buildCLI(t, "lvareport")
+	missing := filepath.Join(t.TempDir(), "missing.json")
+	cases := []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-only", "table1,nosuch"}, `lvareport: unknown experiment "nosuch"`},
+		{[]string{"-only", "table1", "-metrics", missing}, "lvareport: open " + missing},
+		{[]string{"-metrics", missing}, "lvareport: open " + missing},
+	}
+	for _, c := range cases {
+		out, stderr, err := runCLI(t, bin, c.args...)
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("%v: err = %v, want exit status 2", c.args, err)
+		}
+		if !strings.Contains(stderr, c.want) {
+			t.Errorf("%v: stderr = %q, want %q", c.args, stderr, c.want)
+		}
+		if out != "" {
+			t.Errorf("%v: printed %d bytes of report before failing, want none:\n%.300s", c.args, len(out), out)
 		}
 	}
 }

@@ -18,7 +18,6 @@ import (
 	"lva/internal/experiments"
 	"lva/internal/obs"
 	"lva/internal/obs/attr"
-	"lva/internal/obs/phase"
 )
 
 func main() {
@@ -35,10 +34,37 @@ func main() {
 	timelineOut := flag.String("timeline", "", "capture a Chrome trace-event run timeline (load in Perfetto) to this file")
 	attrOut := flag.String("attr", "", "write a per-site/per-epoch attribution snapshot (JSON) to this file")
 	attrWindow := flag.Int("attr-window", 0, "epoch window in annotated loads for -attr time-series (0 = default, <0 = sites only)")
-	phaseOut := flag.String("phase", "", "write a phase-observatory snapshot (per-run phase clustering + representativeness, JSON) to this file")
-	phaseWindow := flag.Int("phase-window", 0, "epoch window in annotated loads for -phase fingerprints (0 = default)")
 	manifestOut := flag.String("manifest", "", "record run provenance and write the NDJSON manifest to this file")
 	flag.Parse()
+
+	// Reject bad arguments before anything simulates or records: a run
+	// can fill LVA_TRACE_DIR with recordings before its first figure
+	// renders.
+	switch *format {
+	case "table", "csv", "json", "chart":
+	default:
+		fmt.Fprintf(os.Stderr, "lvaexp: unknown format %q\n", *format)
+		os.Exit(2)
+	}
+	args := flag.Args()
+	if len(args) == 0 {
+		flag.Usage()
+		os.Exit(2)
+	}
+	var ids []string
+	for _, a := range args {
+		if a == "all" {
+			ids = experiments.IDs()
+			break
+		}
+		ids = append(ids, a)
+	}
+	for _, id := range ids {
+		if _, ok := experiments.Registry[id]; !ok {
+			fmt.Fprintf(os.Stderr, "lvaexp: unknown experiment %q (valid: %v)\n", id, experiments.IDs())
+			os.Exit(2)
+		}
+	}
 
 	// -metrics implies full instrumentation: enable before any simulator is
 	// constructed so the hot-path seams wire up. -attr likewise enables the
@@ -51,12 +77,6 @@ func main() {
 			attr.SetEpochWindow(*attrWindow)
 		}
 		attr.SetEnabled(true)
-	}
-	if *phaseOut != "" {
-		if *phaseWindow != 0 {
-			phase.SetEpochWindow(*phaseWindow)
-		}
-		phase.SetEnabled(true)
 	}
 	if *timelineOut != "" {
 		experiments.StartTimeline()
@@ -75,27 +95,6 @@ func main() {
 	if *progress {
 		cancel := obs.OnEvent(obs.NewProgressPrinter(os.Stderr))
 		defer cancel()
-	}
-
-	args := flag.Args()
-	if len(args) == 0 {
-		flag.Usage()
-		os.Exit(2)
-	}
-	var ids []string
-	for _, a := range args {
-		if a == "all" {
-			ids = experiments.IDs()
-			break
-		}
-		ids = append(ids, a)
-	}
-
-	for _, id := range ids {
-		if _, ok := experiments.Registry[id]; !ok {
-			fmt.Fprintf(os.Stderr, "lvaexp: unknown experiment %q (valid: %v)\n", id, experiments.IDs())
-			os.Exit(2)
-		}
 	}
 
 	// All requested experiments run concurrently: points from different
@@ -122,9 +121,6 @@ func main() {
 			fmt.Println(out)
 		case "chart":
 			fmt.Println(fig.Chart())
-		default:
-			fmt.Fprintf(os.Stderr, "lvaexp: unknown format %q\n", *format)
-			os.Exit(2)
 		}
 	}
 	if *verbose {
@@ -163,16 +159,6 @@ func main() {
 		}
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "lvaexp: write attribution:", err)
-			os.Exit(1)
-		}
-	}
-	if *phaseOut != "" {
-		b, err := phase.TakeSnapshot().JSON()
-		if err == nil {
-			err = os.WriteFile(*phaseOut, b, 0o644)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "lvaexp: write phase snapshot:", err)
 			os.Exit(1)
 		}
 	}

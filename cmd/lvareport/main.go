@@ -21,7 +21,6 @@ import (
 	"lva/internal/experiments"
 	"lva/internal/obs"
 	"lva/internal/obs/attr"
-	"lva/internal/obs/phase"
 	"lva/internal/obs/prov"
 )
 
@@ -29,26 +28,40 @@ func main() {
 	only := flag.String("only", "", "comma-separated experiment ids (default: all)")
 	metricsIn := flag.String("metrics", "", "render a metrics snapshot written by `lvaexp -metrics` as a summary table")
 	attrOn := flag.Bool("attr", false, "record per-site attribution while running and append a hot-site section per scope")
-	phaseOn := flag.Bool("phase", false, "profile phase behavior while running and append a phase table + representativeness verdict per benchmark")
 	provIn := flag.String("provenance", "", "validate a manifest written by `lvaexp -manifest` and render per-figure route counts (runs no experiments)")
 	flag.Parse()
 
 	if *provIn != "" {
 		os.Exit(renderProvenance(*provIn))
 	}
-	if *attrOn {
-		attr.SetEnabled(true)
-	}
-	if *phaseOn {
-		phase.SetEnabled(true)
-	}
 
+	// Check every id and read the metrics snapshot before running or
+	// printing anything, so bad arguments never leave a partial report.
 	ids := experiments.IDs()
 	if *only != "" {
 		ids = strings.Split(*only, ",")
 		for i := range ids {
 			ids[i] = strings.TrimSpace(ids[i])
+			if _, ok := experiments.Registry[ids[i]]; !ok {
+				fmt.Fprintf(os.Stderr, "lvareport: unknown experiment %q (valid: %v)\n",
+					ids[i], experiments.IDs())
+				os.Exit(2)
+			}
 		}
+	}
+	var snap obs.Snapshot
+	if *metricsIn != "" {
+		b, err := os.ReadFile(*metricsIn)
+		if err == nil {
+			snap, err = obs.ParseSnapshot(b)
+		}
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "lvareport:", err)
+			os.Exit(2)
+		}
+	}
+	if *attrOn {
+		attr.SetEnabled(true)
 	}
 
 	fmt.Println("# Load Value Approximation — measured results")
@@ -58,13 +71,7 @@ func main() {
 
 	start := time.Now()
 	for _, id := range ids {
-		driver, ok := experiments.Registry[id]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "lvareport: unknown experiment %q (valid: %v)\n",
-				id, experiments.IDs())
-			os.Exit(2)
-		}
-		fig := driver()
+		fig := experiments.Registry[id]()
 		fmt.Printf("## %s — %s\n\n", fig.ID, fig.Title)
 		fmt.Printf("Unit: %s\n\n", fig.ValueUnit)
 		fmt.Print(fig.Markdown())
@@ -74,16 +81,6 @@ func main() {
 		fmt.Println()
 	}
 	if *metricsIn != "" {
-		b, err := os.ReadFile(*metricsIn)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "lvareport:", err)
-			os.Exit(2)
-		}
-		snap, err := obs.ParseSnapshot(b)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "lvareport:", err)
-			os.Exit(2)
-		}
 		fmt.Println("## Metrics")
 		fmt.Println()
 		fmt.Printf("Snapshot from `%s` (deterministic subset of the obs registry).\n\n", *metricsIn)
@@ -93,112 +90,7 @@ func main() {
 	if *attrOn {
 		renderAttribution(attr.TakeSnapshot())
 	}
-	if *phaseOn {
-		renderPhases(phase.TakeSnapshot())
-	}
 	fmt.Printf("_Total wall time: %v._\n", time.Since(start).Round(time.Millisecond))
-}
-
-// renderPhases appends the phase-observatory section: one row per
-// profiled design point (phase count, dominant-phase occupancy, the
-// projected-vs-actual error when whole-run counters are reconstructed
-// from the phase medoid intervals alone) and a per-benchmark verdict on
-// whether interval sampling would be representative.
-func renderPhases(snap phase.Snapshot) {
-	fmt.Println("## Phase observatory")
-	fmt.Println()
-	fmt.Printf("%d scope(s); each scope is one simulated design point (benchmark/attachment/config-hash).\n", len(snap.Scopes))
-	fmt.Println("Projection reconstructs whole-run MPKI/coverage/mean-error from each phase's medoid epoch, weighted by phase occupancy.")
-	fmt.Println()
-	fmt.Println("| scope | epochs | phases | top occupancy | mpki err (rel) | coverage err (abs) | mean-err err (rel) | representative |")
-	fmt.Println("|---|---|---|---|---|---|---|---|")
-	repByBench := map[string][2]int{} // benchmark -> {representative, projectable}
-	var benches []string
-	for _, sc := range snap.Scopes {
-		bench := sc.Scope
-		if i := strings.IndexByte(bench, '/'); i >= 0 {
-			bench = bench[:i]
-		}
-		if _, seen := repByBench[bench]; !seen {
-			benches = append(benches, bench)
-		}
-		top := 0.0
-		for _, p := range sc.Phases {
-			if p.Occupancy > top {
-				top = p.Occupancy
-			}
-		}
-		pr := sc.Projection
-		if !pr.HasSim {
-			fmt.Printf("| %s | %d | %d | %.1f%% | — | — | — | n/a (no sim) |\n",
-				sc.Scope, sc.TotalEpochs, len(sc.Phases), 100*top)
-			continue
-		}
-		verdict := "no"
-		cnt := repByBench[bench]
-		cnt[1]++
-		if pr.Representative {
-			verdict = "yes"
-			cnt[0]++
-		}
-		repByBench[bench] = cnt
-		fmt.Printf("| %s | %d | %d | %.1f%% | %.4f | %.4f | %.4f | %s |\n",
-			sc.Scope, sc.TotalEpochs, len(sc.Phases), 100*top,
-			pr.MPKIErr, pr.CoverageErr, pr.MeanRelErrErr, verdict)
-	}
-	fmt.Println()
-	fmt.Println("Per-benchmark verdict (a benchmark is interval-sampleable when every profiled design point projects within tolerance):")
-	fmt.Println()
-	sort.Strings(benches)
-	for _, b := range benches {
-		cnt := repByBench[b]
-		switch {
-		case cnt[1] == 0:
-			fmt.Printf("- **%s**: no sim-backed profiles (stream-only) — structure recorded, no verdict.\n", b)
-		case cnt[0] == cnt[1]:
-			fmt.Printf("- **%s**: representative (%d/%d design points project within tolerance).\n", b, cnt[0], cnt[1])
-		default:
-			fmt.Printf("- **%s**: NOT representative (%d/%d design points project within tolerance) — simulate whole runs.\n", b, cnt[0], cnt[1])
-		}
-	}
-	fmt.Println()
-	for _, sc := range snap.Scopes {
-		if len(sc.Timeline) == 0 {
-			continue
-		}
-		fmt.Printf("- `%s` occupancy timeline: `%s`\n", sc.Scope, phaseTimelineString(sc.Timeline, 64))
-	}
-	fmt.Println()
-}
-
-// phaseTimelineString renders an epoch->phase assignment as one hex digit
-// per slot, downsampled to at most width slots (majority phase per slot).
-func phaseTimelineString(tl []int, width int) string {
-	if len(tl) == 0 {
-		return ""
-	}
-	if width > len(tl) {
-		width = len(tl)
-	}
-	out := make([]byte, width)
-	for s := 0; s < width; s++ {
-		lo, hi := s*len(tl)/width, (s+1)*len(tl)/width
-		if hi == lo {
-			hi = lo + 1
-		}
-		var count [16]int
-		best := tl[lo]
-		for _, id := range tl[lo:hi] {
-			if id >= 0 && id < 16 {
-				count[id]++
-				if count[id] > count[best] {
-					best = id
-				}
-			}
-		}
-		out[s] = "0123456789abcdef"[best&15]
-	}
-	return string(out)
 }
 
 // renderProvenance audits a provenance manifest: schema validation, the

@@ -6,7 +6,6 @@
 //	lvatrace record -bench canneal -dir traces           # record a grid stream
 //	lvatrace stat -decode traces/<hash>.lvag             # summarize and verify it
 //	lvatrace replay -degree 4 traces/<hash>.lvag         # full-system replay
-//	lvatrace phases traces/<hash>.lvag                   # offline phase profile
 package main
 
 import (
@@ -20,7 +19,6 @@ import (
 	"lva/internal/core"
 	"lva/internal/experiments"
 	"lva/internal/fullsys"
-	"lva/internal/obs/phase"
 	"lva/internal/trace"
 	"lva/internal/workloads"
 )
@@ -30,14 +28,12 @@ func main() {
 		"record": cmdRecord,
 		"stat":   cmdStat,
 		"replay": cmdReplay,
-		"phases": cmdPhases,
 	}
 	if len(os.Args) < 2 || cmds[os.Args[1]] == nil {
 		fmt.Fprintln(os.Stderr, "usage:")
 		fmt.Fprintln(os.Stderr, "  lvatrace record -bench <name|all> [-kind precise|lvabase] [-dir d] [-seed n]")
 		fmt.Fprintln(os.Stderr, "  lvatrace stat [-decode] <file.lvag ...>")
 		fmt.Fprintln(os.Stderr, "  lvatrace replay [-degree n] <file.lvag>")
-		fmt.Fprintln(os.Stderr, "  lvatrace phases [-window n] [-json] <file.lvag ...>")
 		os.Exit(2)
 	}
 	if err := cmds[os.Args[1]](os.Args[2:]); err != nil {
@@ -192,88 +188,6 @@ func statGrid(path string, decode bool) error {
 	return nil
 }
 
-// cmdPhases phase-profiles grid streams offline: one decode pass per
-// file, no simulation. The profile clusters epoch fingerprints of the
-// annotated-load stream (PC sketch, address regions, stride histogram);
-// with no sim attached there are no miss/error scalars, so the table
-// reports phase structure and occupancy only. -json emits the published
-// snapshot (byte-stable across runs and processes).
-func cmdPhases(args []string) error {
-	fs := flag.NewFlagSet("lvatrace phases", flag.ExitOnError)
-	window := fs.Int("window", 0, "epoch window in annotated loads (0 = default)")
-	asJSON := fs.Bool("json", false, "emit the phase snapshot as JSON instead of tables")
-	fs.Parse(args)
-	if fs.NArg() == 0 {
-		return fmt.Errorf("phases: no files given")
-	}
-	if *window != 0 {
-		phase.SetEpochWindow(*window)
-	}
-	for _, path := range fs.Args() {
-		prof, hdr, err := experiments.ProfileGridStream(path)
-		if err != nil {
-			return fmt.Errorf("%s: %w", path, err)
-		}
-		if !*asJSON {
-			printPhaseProfile(path, hdr, prof)
-		}
-	}
-	if *asJSON {
-		b, err := phase.TakeSnapshot().JSON()
-		if err != nil {
-			return err
-		}
-		os.Stdout.Write(b)
-	}
-	return nil
-}
-
-func printPhaseProfile(path string, hdr trace.GridHeader, prof phase.ScopeProfile) {
-	fmt.Printf("%s: stream %q seed %d\n", path, hdr.Name, hdr.Seed)
-	fmt.Printf("  scope=%s window=%d epochs=%d dropped=%d loads=%d\n",
-		prof.Scope, prof.EpochWindow, prof.TotalEpochs, prof.DroppedEpochs, prof.Loads)
-	if len(prof.Phases) == 0 {
-		fmt.Println("  no epochs (stream shorter than one window?)")
-		return
-	}
-	fmt.Printf("  %d phase(s):\n", len(prof.Phases))
-	for _, p := range prof.Phases {
-		fmt.Printf("    phase %-2d epochs=%-5d occupancy=%5.1f%% medoid=epoch %d\n",
-			p.ID, p.Epochs, 100*p.Occupancy, p.MedoidEpoch)
-	}
-	fmt.Printf("  timeline: %s\n", phaseTimelineString(prof.Timeline, 64))
-}
-
-// phaseTimelineString renders an epoch->phase assignment as one hex digit
-// per slot, downsampled to at most width slots (majority phase per slot).
-func phaseTimelineString(tl []int, width int) string {
-	if len(tl) == 0 {
-		return ""
-	}
-	if width > len(tl) {
-		width = len(tl)
-	}
-	out := make([]byte, width)
-	for s := 0; s < width; s++ {
-		lo, hi := s*len(tl)/width, (s+1)*len(tl)/width
-		if hi == lo {
-			hi = lo + 1
-		}
-		var count [16]int
-		best := tl[lo]
-		for _, id := range tl[lo:hi] {
-			if id >= 0 && id < 16 {
-				count[id]++
-				if count[id] > count[best] {
-					best = id
-				}
-			}
-		}
-		out[s] = "0123456789abcdef"[best&15]
-	}
-	return string(out)
-}
-
 func gridFooter(path string) (trace.GridHeader, int64, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -304,6 +218,9 @@ func cmdReplay(args []string) error {
 	fs := flag.NewFlagSet("lvatrace replay", flag.ExitOnError)
 	degree := fs.Int("degree", 0, "approximation degree (-1 = precise)")
 	fs.Parse(args)
+	if *degree < -1 {
+		return fmt.Errorf("replay: -degree %d: want -1 (precise) or a degree >= 0", *degree)
+	}
 	if fs.NArg() != 1 {
 		return fmt.Errorf("replay: want one file after the flags, got %q", fs.Args())
 	}

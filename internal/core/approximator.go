@@ -3,7 +3,6 @@ package core
 import (
 	"lva/internal/obs"
 	"lva/internal/obs/attr"
-	"lva/internal/obs/phase"
 	"lva/internal/value"
 )
 
@@ -97,9 +96,6 @@ type Approximator struct {
 	// at is non-nil only when a flight recorder was attached for this run;
 	// the hooks fire on training commits, never on the load fast path.
 	at *attr.Recorder
-	// ph is non-nil only when a phase profiler was attached for this run;
-	// it observes the relative error of judged training commits.
-	ph *phase.Profiler
 }
 
 // New builds an approximator; it panics on an invalid Config since
@@ -135,10 +131,6 @@ func (a *Approximator) Config() Config { return a.cfg }
 // SetAttribution attaches a flight recorder for this run (nil detaches).
 // Call before issuing loads; the simulator wires it when attr.Enabled().
 func (a *Approximator) SetAttribution(rec *attr.Recorder) { a.at = rec }
-
-// SetPhaseProfile attaches a phase profiler for this run (nil detaches).
-// Call before issuing loads; the simulator wires it when phase.Enabled().
-func (a *Approximator) SetPhaseProfile(p *phase.Profiler) { a.ph = p }
 
 // Stats returns a copy of the event counters.
 func (a *Approximator) Stats() Stats { return a.stats }
@@ -390,7 +382,7 @@ func (a *Approximator) commitTrain(t pendingTrain) {
 	// The relative error feeds both observability seams; compute it once
 	// and only when at least one of them is wired.
 	relErr := 0.0
-	if a.om != nil || a.at != nil || a.ph != nil {
+	if a.om != nil || a.at != nil {
 		relErr = value.RelDiff(t.approx.Float(), t.actual.Float())
 	}
 	if value.WithinWindow(t.approx, t.actual, a.cfg.Window) {
@@ -408,9 +400,6 @@ func (a *Approximator) commitTrain(t pendingTrain) {
 		}
 		if at := a.at; at != nil {
 			at.Train(t.pc, true, true, gained, false, relErr)
-		}
-		if ph := a.ph; ph != nil {
-			ph.Train(relErr)
 		}
 		return
 	}
@@ -436,9 +425,6 @@ func (a *Approximator) commitTrain(t pendingTrain) {
 	}
 	if at := a.at; at != nil {
 		at.Train(t.pc, true, false, false, lost, relErr)
-	}
-	if ph := a.ph; ph != nil {
-		ph.Train(relErr)
 	}
 }
 

@@ -19,7 +19,7 @@ import (
 // streamed through. Every result the engine produces is a deterministic
 // function of the point, so key() is the only identity it derives: run
 // cache and memo keys, recording names and footer keys, provenance
-// fingerprints, and attribution and phase scopes.
+// fingerprints, and attribution scopes.
 type designPoint struct {
 	w    workloads.Workload
 	seed uint64
@@ -95,14 +95,9 @@ func (dp designPoint) key() string {
 }
 
 // hash is the point's short fingerprint: its provenance fingerprint, its
-// recording's file name, and the suffix of its attribution and phase
-// scopes.
-func (dp designPoint) hash() string { return hashKey(dp.key()) }
-
-// hashKey fingerprints a rendered key. ProfileGridStream applies it to a
-// recording's footer key, which is the recording point's key().
-func hashKey(key string) string {
-	sum := sha256.Sum256([]byte(key))
+// recording's file name, and the suffix of its attribution scope.
+func (dp designPoint) hash() string {
+	sum := sha256.Sum256([]byte(dp.key()))
 	return hex.EncodeToString(sum[:8])
 }
 

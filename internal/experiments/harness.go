@@ -6,12 +6,10 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"lva/internal/core"
 	"lva/internal/memsim"
 	"lva/internal/obs/attr"
-	"lva/internal/obs/phase"
 	"lva/internal/trace"
 	"lva/internal/workloads"
 )
@@ -69,47 +67,31 @@ func runWith(dp designPoint, gw *trace.GridWriter) RunResult {
 	return res
 }
 
-// observedSim is a design point's simulator with its flight recorder and
-// phase profiler attached; each is nil while its layer is off.
+// observedSim is a design point's simulator with its flight recorder
+// attached; rec is nil while attribution is off.
 type observedSim struct {
 	*memsim.Sim
-	rec   *attr.Recorder
-	pp    *phase.Profiler
-	start time.Time
+	rec *attr.Recorder
 }
 
-// observe builds the simulator for dp. Both observers publish under the
+// observe builds the simulator for dp. The recorder publishes under the
 // scope workload/attachment/dp.hash(), so distinct points publish under
 // distinct scopes while re-running the same point (cache disabled,
 // repeated figures) republishes identically. Precise runs carry no
-// annotated-load machinery worth attributing and get no recorder, but they
-// are phase-profiled: the phase structure of the unapproximated stream is
-// what interval sampling is judged against.
+// annotated-load machinery worth attributing and get no recorder.
 func observe(dp designPoint) observedSim {
 	o := observedSim{Sim: memsim.New(dp.mem)}
-	attrOn := attr.Enabled() && dp.mem.Attach != memsim.AttachNone
-	if attrOn || phase.Enabled() {
-		scope := fmt.Sprintf("%s/%s/%s", dp.w.Name(), dp.mem.Attach, dp.hash())
-		if attrOn {
-			o.rec = attr.NewRecorder(scope)
-			o.SetAttribution(o.rec)
-		}
-		if phase.Enabled() {
-			o.pp = phase.NewProfiler(scope)
-			o.SetPhaseProfile(o.pp)
-			o.start = time.Now()
-		}
+	if attr.Enabled() && dp.mem.Attach != memsim.AttachNone {
+		o.rec = attr.NewRecorder(fmt.Sprintf("%s/%s/%s", dp.w.Name(), dp.mem.Attach, dp.hash()))
+		o.SetAttribution(o.rec)
 	}
 	return o
 }
 
-// publish hands the finished run's observations to their registries.
+// publish hands the finished run's attribution to its registry.
 func (o observedSim) publish() {
 	if o.rec != nil {
 		attr.Publish(o.rec)
-	}
-	if o.pp != nil {
-		publishPhaseProfile(o.pp, o.start)
 	}
 }
 

@@ -15,14 +15,13 @@ import (
 // instants. Capture is off by default: the pointer below is nil and every
 // emission site is a single atomic load.
 
-// Trace-event process ids: Perfetto groups tracks by pid, so the three
-// views land in three named groups.
+// Trace-event process ids: Perfetto groups tracks by pid, so each view
+// lands in its own named group.
 const (
 	tlPidWorkers = 1 // gate slots (tid = slot id)
 	tlPidFigures = 2 // figure drivers (tid = position in the requested id set)
 	tlPidSims    = 3 // executed simulations + run-cache hit instants
 	tlPidProv    = 4 // provenance spans: serving stages, flow-linked to recordings
-	tlPidPhase   = 5 // phase observatory: one lane per profiled run, phase segments as spans
 )
 
 // traceEvent is one Chrome trace-event object. Times are microseconds
@@ -44,11 +43,10 @@ type traceEvent struct {
 type Timeline struct {
 	start time.Time
 
-	mu        sync.Mutex
-	events    []traceEvent
-	simTids   int // virtual tid allocator for the executed-simulation lane
-	provTids  int // virtual tid allocator for the provenance lane
-	phaseTids int // virtual tid allocator for the phase-observatory lane
+	mu       sync.Mutex
+	events   []traceEvent
+	simTids  int // virtual tid allocator for the executed-simulation lane
+	provTids int // virtual tid allocator for the provenance lane
 }
 
 // timeline is the active capture (nil = off). Emission sites load it once
@@ -64,7 +62,6 @@ func StartTimeline() {
 		metaEvent(tlPidFigures, "process_name", "figure drivers"),
 		metaEvent(tlPidSims, "process_name", "kernel simulations"),
 		metaEvent(tlPidProv, "process_name", "provenance"),
-		metaEvent(tlPidPhase, "process_name", "phase observatory"),
 	)
 	timeline.Store(t)
 }
@@ -117,32 +114,6 @@ func (t *Timeline) span(pid, tid int, name, cat string, start time.Time, args ma
 	t.mu.Unlock()
 }
 
-// spanAt records a complete ("X") event with an explicit offset and
-// duration (both in microseconds since capture start). The phase lanes use
-// it to scale epoch-indexed segments onto a run's wall-clock extent, where
-// span's now()-anchored arithmetic does not apply.
-func (t *Timeline) spanAt(pid, tid int, name, cat string, ts, dur int64, args map[string]any) {
-	if dur < 1 {
-		dur = 1 // Perfetto drops zero-width spans
-	}
-	t.mu.Lock()
-	t.events = append(t.events, traceEvent{
-		Name: name, Cat: cat, Ph: "X", TS: ts, Dur: dur,
-		PID: pid, TID: tid, Args: args,
-	})
-	t.mu.Unlock()
-}
-
-// instantAt records an instant ("i") event at an explicit offset.
-func (t *Timeline) instantAt(pid, tid int, name, cat string, ts int64, args map[string]any) {
-	t.mu.Lock()
-	t.events = append(t.events, traceEvent{
-		Name: name, Cat: cat, Ph: "i", TS: ts,
-		PID: pid, TID: tid, Args: args,
-	})
-	t.mu.Unlock()
-}
-
 // instant records an instant ("i") event at now.
 func (t *Timeline) instant(pid, tid int, name, cat string, args map[string]any) {
 	t.mu.Lock()
@@ -167,15 +138,6 @@ func (t *Timeline) nextProvTid() int {
 	t.mu.Lock()
 	t.provTids++
 	tid := t.provTids
-	t.mu.Unlock()
-	return tid
-}
-
-// nextPhaseTid hands out lanes on the phase-observatory pid.
-func (t *Timeline) nextPhaseTid() int {
-	t.mu.Lock()
-	t.phaseTids++
-	tid := t.phaseTids
 	t.mu.Unlock()
 	return tid
 }

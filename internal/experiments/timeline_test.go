@@ -68,8 +68,8 @@ func TestTimelineCapture(t *testing.T) {
 			}
 		}
 	}
-	if metas != 5 {
-		t.Errorf("process_name metadata events = %d, want 5", metas)
+	if metas != 4 {
+		t.Errorf("process_name metadata events = %d, want 4", metas)
 	}
 	if figSpans != 1 {
 		t.Errorf("figure spans = %d, want 1", figSpans)

@@ -264,6 +264,67 @@ func TestSelfClean(t *testing.T) {
 	for _, f := range Unsuppressed(Run(l.Fset(), pkgs, EnabledAnalyzers())) {
 		t.Errorf("unsuppressed finding: %s", f)
 	}
+	checkPackageTables(t, l, pkgs)
+}
+
+// checkPackageTables fails on a package-scope entry that names no package:
+// an analyzer table or hot-path budget entry left behind by a deleted
+// package polices nothing, yet reads as coverage. Repo paths are checked
+// against pkgs (the ./... walk), fixture budget keys against the testdata
+// walk.
+func checkPackageTables(t *testing.T, l *Loader, pkgs []*Package) {
+	t.Helper()
+	loaded := make(map[string]bool, len(pkgs))
+	for _, pkg := range pkgs {
+		loaded[pkg.Path] = true
+	}
+	fixtureDirs, err := ExpandPatterns(l.ModDir(), []string{"./internal/lint/testdata/..."})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fixtures := make(map[string]bool, len(fixtureDirs))
+	for _, dir := range fixtureDirs {
+		path, err := l.importPathFor(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fixtures[path] = true
+	}
+	stale := func(where string, paths map[string]bool) {
+		for _, path := range sortedKeys(paths) {
+			known := loaded
+			if isFixturePath(path) {
+				known = fixtures
+			}
+			if !known[path] {
+				t.Errorf("%s names %s, which is no package of the module: drop the entry with the package", where, path)
+			}
+		}
+	}
+	stale("hotPathPkgs", hotPathPkgs)
+	stale("attrSeamPkgs", attrSeamPkgs)
+	stale("libraryPkgs", libraryPkgs)
+	stale("configTypePkgs", configTypePkgs)
+	stale("detsyncScopePkgs", detsyncScopePkgs)
+
+	budget, _, err := loadBudget(l.ModDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	budgeted := make(map[string]bool, len(budget.Packages))
+	for path := range budget.Packages {
+		budgeted[path] = true
+	}
+	stale(budgetRelPath, budgeted)
+}
+
+func sortedKeys(m map[string]bool) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 // TestExpandPatternsTestdata checks that explicit testdata patterns are

@@ -21,7 +21,6 @@ var libraryPkgs = map[string]bool{
 	"lva/internal/noc":       true,
 	"lva/internal/obs":       true,
 	"lva/internal/obs/attr":  true,
-	"lva/internal/obs/phase": true,
 	"lva/internal/obs/prov":  true,
 	"lva/internal/prefetch":  true,
 	"lva/internal/stats":     true,

@@ -42,7 +42,6 @@ var hotPathPkgs = map[string]bool{
 	"lva/internal/core":      true,
 	"lva/internal/prefetch":  true,
 	"lva/internal/obs/attr":  true,
-	"lva/internal/obs/phase": true,
 	"lva/internal/obs/prov":  true,
 	"lva/internal/trace":     true,
 	"lva/internal/fullsys":   true,
@@ -54,9 +53,8 @@ var hotPathPkgs = map[string]bool{
 // functions, as hotpath does): the flight recorder is linked into every
 // simulator build and must never grow a formatting dependency.
 var attrSeamPkgs = map[string]bool{
-	"lva/internal/obs/attr":  true,
-	"lva/internal/obs/phase": true,
-	"lva/internal/obs/prov":  true,
+	"lva/internal/obs/attr": true,
+	"lva/internal/obs/prov": true,
 }
 
 func runObshooks(p *Pass) {

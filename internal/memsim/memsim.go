@@ -15,7 +15,6 @@ import (
 	"lva/internal/core"
 	"lva/internal/obs"
 	"lva/internal/obs/attr"
-	"lva/internal/obs/phase"
 	"lva/internal/prefetch"
 	"lva/internal/trace"
 	"lva/internal/value"
@@ -155,9 +154,6 @@ type Sim struct {
 	// Its hooks live inside the annotated-load branch, so the plain
 	// (approx=false) hit path never tests it.
 	at *attr.Recorder
-	// ph is non-nil only when a phase profiler was attached for this run.
-	// Like at, its hooks live inside the annotated-load branch only.
-	ph *phase.Profiler
 
 	// grid is the optional streaming capture sink (record-once replay).
 	grid *trace.GridWriter
@@ -220,18 +216,6 @@ func (s *Sim) SetAttribution(rec *attr.Recorder) {
 	}
 }
 
-// SetPhaseProfile attaches a phase profiler for this run (nil detaches),
-// wiring the attached approximator's training hook too. Call before
-// running the workload; the experiment harness wires one per run when
-// phase.Enabled(). Profiling is observational only: it never alters
-// simulation behaviour or Result.
-func (s *Sim) SetPhaseProfile(p *phase.Profiler) {
-	s.ph = p
-	if s.approx != nil {
-		s.approx.SetPhaseProfile(p)
-	}
-}
-
 // SetThread implements Memory. It panics if t is outside [0,255], the
 // range the trace encoding's uint8 thread field can represent: thread ids
 // come from fixed workload topology, so an illegal one is a programming
@@ -263,9 +247,6 @@ func (s *Sim) load(pc, addr uint64, precise value.Value, approx bool) value.Valu
 		if at := s.at; at != nil {
 			at.Load(pc, s.insts)
 		}
-		if ph := s.ph; ph != nil {
-			ph.Load(pc, addr, s.insts)
-		}
 	}
 
 	// Probe/Touch instead of l1.Load: both inline, so the hit path — the
@@ -286,9 +267,6 @@ func (s *Sim) load(pc, addr uint64, precise value.Value, approx bool) value.Valu
 		d := s.approx.OnMiss(pc, precise)
 		if at := s.at; at != nil {
 			at.Miss(pc, d.Approximated, d.Fetch)
-		}
-		if ph := s.ph; ph != nil {
-			ph.Miss(d.Approximated)
 		}
 		if d.Fetch {
 			s.fetches++
@@ -319,9 +297,6 @@ func (s *Sim) load(pc, addr uint64, precise value.Value, approx bool) value.Valu
 	if approx {
 		if at := s.at; at != nil {
 			at.Miss(pc, false, true)
-		}
-		if ph := s.ph; ph != nil {
-			ph.Miss(false)
 		}
 	}
 	before := s.fetches

@@ -42,7 +42,6 @@ import (
 	"lva/internal/memsim"
 	"lva/internal/obs"
 	"lva/internal/obs/attr"
-	"lva/internal/obs/phase"
 	"lva/internal/obs/prov"
 	"lva/internal/prefetch"
 	"lva/internal/value"
@@ -281,40 +280,6 @@ func Attribution() AttributionSnapshot { return attr.TakeSnapshot() }
 
 // ResetAttribution drops every published run attribution.
 func ResetAttribution() { attr.Reset() }
-
-// PhaseSnapshot is a frozen view of the phase observatory: per-run epoch
-// fingerprints clustered into phases, with a representativeness
-// projection per design point (see internal/obs/phase).
-type PhaseSnapshot = phase.Snapshot
-
-// SetPhaseProfilingEnabled toggles the phase observatory. When on, every
-// simulated run fingerprints its annotated-load stream per epoch (PC
-// sketch, address regions, stride histogram, miss/error rates), clusters
-// the epochs into phases at snapshot time, and reports how well the phase
-// medoid intervals alone reconstruct the whole-run counters. Call it
-// before running experiments; off by default so annotated-load paths
-// stay allocation-free.
-func SetPhaseProfilingEnabled(on bool) { phase.SetEnabled(on) }
-
-// SetPhaseEpochWindow sets how many annotated loads make one phase epoch
-// (n < 0 disables epoching, 0 restores the default). Takes effect for
-// profilers created afterwards.
-func SetPhaseEpochWindow(n int) { phase.SetEpochWindow(n) }
-
-// Phases snapshots every published phase profile, sorted by scope.
-func Phases() PhaseSnapshot { return phase.TakeSnapshot() }
-
-// ResetPhases drops every published phase profile.
-func ResetPhases() { phase.Reset() }
-
-// ProfilePhasesOfStream phase-profiles a recorded .lvag grid stream in
-// one decode pass with no simulation, publishing (and returning) the
-// resulting profile. Offline profiles cluster on access-vector shape
-// alone; they carry no miss/error projection.
-func ProfilePhasesOfStream(path string) (phase.ScopeProfile, error) {
-	prof, _, err := experiments.ProfileGridStream(path)
-	return prof, err
-}
 
 // ProvenanceManifest is a parsed run-provenance manifest (see
 // internal/obs/prov): per-evaluation records of which route produced each
