@@ -372,9 +372,10 @@ func BenchmarkGridReplay(b *testing.B) {
 // ---------------------------------------------------------------------------
 // Phase-2 benchmarks: the full-system model's per-access layers. NoCSend
 // and DirectoryStore allocate nothing, so benchdiff fails them as soon as
-// they allocate. FullSystemStream allocates the simulator and its queue
-// blocks; the block count follows the buffered window (about 40% of
-// bodytrack's stream), not the number of accesses simulated.
+// they allocate. FullSystemStream allocates the simulator and the decoded
+// recording: RunStream decodes the whole stream (one block per 4096
+// accesses of each core) before running it, so its block count follows the
+// stream's length.
 
 // BenchmarkNoCSend measures one control packet on the 2x2 mesh, cycling
 // through every source/destination pair.

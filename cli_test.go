@@ -19,6 +19,16 @@ var (
 	cliDir string
 )
 
+// TestMain removes the directory buildCLI built the commands into once
+// every test has run.
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if cliDir != "" {
+		os.RemoveAll(cliDir)
+	}
+	os.Exit(code)
+}
+
 func buildCLI(t *testing.T, name string) string {
 	t.Helper()
 	if testing.Short() {
@@ -29,7 +39,7 @@ func buildCLI(t *testing.T, name string) string {
 	}
 	if cliDir == "" {
 		// Binaries are shared across tests, so they must outlive any one
-		// test's TempDir; the OS cleans this up.
+		// test's TempDir; TestMain removes them.
 		d, err := os.MkdirTemp("", "lva-cli-")
 		if err != nil {
 			t.Fatal(err)

@@ -185,35 +185,30 @@ func ExtLane() *Figure {
 		Benchmarks: workloads.Names(),
 	}
 	const degree = 4
-	mk := func(label string, lane *fullsys.TrainingLaneConfig) []fullsys.Result {
-		out := make([]fullsys.Result, len(workloads.Names()))
-		forEachWorkload("ext-lane/"+label, func(i int, w workloads.Workload) {
+	lanes := []*fullsys.TrainingLaneConfig{nil, fullsys.DefaultTrainingLane()}
+	rs := fullsysAll(func(w workloads.Workload) []fullsys.Config {
+		cfgs := []fullsys.Config{fullsys.DefaultConfig()}
+		for _, lane := range lanes {
 			acfg := BaselineFor(w)
 			acfg.Degree = degree
 			acfg.ValueDelay = 1
 			cfg := fullsys.DefaultConfig()
 			cfg.Approx = &acfg
 			cfg.TrainingLane = lane
-			out[i] = runFullsys(w, cfg)
-		})
-		return out
-	}
-	precise := make([]fullsys.Result, len(workloads.Names()))
-	forEachWorkload("ext-lane/precise", func(i int, w workloads.Workload) {
-		precise[i] = fullSystemSweep(w).precise
+			cfgs = append(cfgs, cfg)
+		}
+		return cfgs
 	})
-	fast := mk("fast-lane", nil)
-	slow := mk("slow-lane", fullsys.DefaultTrainingLane())
-
 	speedFast := Row{Label: "speedup fast-lane"}
 	speedSlow := Row{Label: "speedup slow-lane"}
 	enFast := Row{Label: "energy savings fast-lane"}
 	enSlow := Row{Label: "energy savings slow-lane"}
-	for i := range precise {
-		speedFast.Values = append(speedFast.Values, float64(precise[i].Cycles)/float64(fast[i].Cycles)-1)
-		speedSlow.Values = append(speedSlow.Values, float64(precise[i].Cycles)/float64(slow[i].Cycles)-1)
-		enFast.Values = append(enFast.Values, 1-fast[i].Energy.TotalPJ()/precise[i].Energy.TotalPJ())
-		enSlow.Values = append(enSlow.Values, 1-slow[i].Energy.TotalPJ()/precise[i].Energy.TotalPJ())
+	for _, r := range rs {
+		precise, fast, slow := r[0], r[1], r[2]
+		speedFast.Values = append(speedFast.Values, float64(precise.Cycles)/float64(fast.Cycles)-1)
+		speedSlow.Values = append(speedSlow.Values, float64(precise.Cycles)/float64(slow.Cycles)-1)
+		enFast.Values = append(enFast.Values, 1-fast.Energy.TotalPJ()/precise.Energy.TotalPJ())
+		enSlow.Values = append(enSlow.Values, 1-slow.Energy.TotalPJ()/precise.Energy.TotalPJ())
 	}
 	f.Rows = []Row{speedFast, speedSlow, enFast, enSlow}
 	f.Notes = append(f.Notes, "paper §VI-C: LVA's value-delay resilience lets approximate fetches take slow, low-energy paths without hurting performance")

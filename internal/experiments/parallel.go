@@ -104,8 +104,9 @@ type task struct {
 // rows — and runs them all concurrently through the shared gate, so points
 // from different rows (and, under RunAll, different figures) are in flight
 // at once. fig names the owning experiment on the timeline. Tasks execute
-// while holding a gate slot and must not run nested batches or
-// forEachWorkload calls, which would wait for slots they themselves occupy.
+// while holding a gate slot and must not run nested batches or phase-2
+// sweeps (fullsysResults), which would wait for slots they themselves
+// occupy.
 type batch struct {
 	fig   string
 	tasks []task
@@ -186,21 +187,4 @@ func (b *batch) lvp(label string, cfgFor func(w workloads.Workload) core.Config)
 // precise schedules the precise baseline of every benchmark.
 func (b *batch) precise() []*RunResult {
 	return row("precise", func(w workloads.Workload) designPoint { return precisePoint(w, DefaultSeed) }, b.runPoint)
-}
-
-// forEachWorkload runs fn once per benchmark through the shared gate,
-// passing the benchmark's index in workloads.All() order; label names the
-// work on the timeline's worker tracks. It returns when all have finished.
-// The full-system drivers use it directly; phase-1 drivers batch their
-// rows instead so whole figures fan out at once.
-func forEachWorkload(label string, fn func(i int, w workloads.Workload)) {
-	var wg sync.WaitGroup
-	for i, w := range workloads.All() {
-		wg.Add(1)
-		go func(i int, w workloads.Workload) {
-			defer wg.Done()
-			gated(label+"/"+w.Name(), func() { fn(i, w) })
-		}(i, w)
-	}
-	wg.Wait()
 }

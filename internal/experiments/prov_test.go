@@ -393,14 +393,14 @@ func TestFullsysPointIdentity(t *testing.T) {
 	FullSystemResult(w, 4)
 	narrow := fullsys.DefaultConfig()
 	narrow.ROB, narrow.MSHRs = 16, 4
-	runFullsys(w, narrow)
+	fullsysResults(w, []fullsys.Config{narrow})
 	acfg := BaselineFor(w)
 	acfg.Degree = 4
 	acfg.ValueDelay = 1
 	slow := fullsys.DefaultConfig()
 	slow.Approx = &acfg
 	slow.TrainingLane = fullsys.DefaultTrainingLane()
-	runFullsys(w, slow)
+	fullsysResults(w, []fullsys.Config{slow})
 
 	fingerprints := func() map[string]uint64 {
 		_, m := provManifest(t)
@@ -426,8 +426,40 @@ func TestFullsysPointIdentity(t *testing.T) {
 
 	tableII := fullsys.DefaultConfig()
 	tableII.ROB, tableII.MSHRs = 32, 8
-	runFullsys(w, tableII)
+	fullsysResults(w, []fullsys.Config{tableII})
 	if again := fingerprints(); !reflect.DeepEqual(again, fps) {
 		t.Errorf("re-running Figure 10's precise machine added records:\nbefore %v\nafter  %v", fps, again)
+	}
+}
+
+// TestPhase2DecodesEachRecordingOnce pins phase 2's decode-once contract:
+// Figures 10 and 11 run concurrently from an empty store, yet every precise
+// recording is decoded exactly once for their twelve shared configurations,
+// so the ledger's streamed volume equals the seven recordings' footers.
+func TestPhase2DecodesEachRecordingOnce(t *testing.T) {
+	SetTraceDir(t.TempDir())
+	defer SetTraceDir("")
+	ResetRunCache()
+	defer ResetRunCache()
+	EnableProvenance()
+	defer DisableProvenance()
+
+	if _, err := RunAll("fig10", "fig11"); err != nil {
+		t.Fatal(err)
+	}
+	var accesses, chunks uint64
+	for _, w := range workloads.All() {
+		st := ensureStream(precisePoint(w, DefaultSeed))
+		if st.path == "" {
+			t.Fatalf("%s: no recording in the store", w.Name())
+		}
+		accesses += st.hdr.Accesses
+		chunks += st.hdr.Chunks
+	}
+	got := prov.Active().Costs()
+	t.Logf("streamed %d accesses in %d chunks", got.StreamedAccesses, got.StreamedChunks)
+	if got.StreamedAccesses != accesses || got.StreamedChunks != chunks {
+		t.Errorf("phase 2 decoded %d accesses in %d chunks, want the recordings' %d in %d: one decode each",
+			got.StreamedAccesses, got.StreamedChunks, accesses, chunks)
 	}
 }

@@ -59,7 +59,7 @@ const (
 	memoRun     memoKind = iota // RunResult of a kernel execution (cachedRun)
 	memoStream                  // *gridStream: the point's recording (ensureStream)
 	memoReplay                  // memsim.Result of a precise-stream replay (serveReplay)
-	memoFullsys                 // fullsys.Result of a phase-2 point (runFullsys)
+	memoFullsys                 // fullsys.Result of a phase-2 point (fullsysResults)
 )
 
 type memoKey struct {
@@ -67,39 +67,71 @@ type memoKey struct {
 	key  string
 }
 
+// memoCell holds one memoized value. The call that creates a cell fills it;
+// every other caller waits on done.
 type memoCell struct {
-	once sync.Once
+	done chan struct{} // closed once v is set
 	v    any
 }
 
+// set stores v and releases the cell's waiters.
+func (c *memoCell) set(v any) {
+	c.v = v
+	close(c.done)
+}
+
+// wait returns the cell's value once it is set.
+func (c *memoCell) wait() any {
+	<-c.done
+	return c.v
+}
+
 // memo is the engine's one memo store, keyed by kind and design-point
-// key. ResetRunCache empties it.
-var memo sync.Map // memoKey -> *memoCell
+// key. ResetRunCache swaps in an empty one.
+var memo atomic.Pointer[sync.Map] // memoKey -> *memoCell
+
+// setDone is the done channel of every cell memoPut makes: already closed.
+var setDone = make(chan struct{})
+
+func init() {
+	memo.Store(new(sync.Map))
+	close(setDone)
+}
+
+// memoClaim returns the cell of (kind, dp), creating it when there is
+// none. owner reports that this call created it: the caller must then set
+// it, and every other caller waits for that.
+func memoClaim(kind memoKind, dp designPoint) (c *memoCell, owner bool) {
+	var k any = memoKey{kind, dp.key()}
+	m := memo.Load()
+	if v, ok := m.Load(k); ok {
+		return v.(*memoCell), false
+	}
+	v, loaded := m.LoadOrStore(k, &memoCell{done: make(chan struct{})})
+	return v.(*memoCell), !loaded
+}
 
 // memoOnce returns the value of (kind, dp), computing it with fill at most
 // once per process: the first caller fills while concurrent callers block
 // on the cell and then share the value. hit reports that another call
 // filled it.
 func memoOnce[T any](kind memoKind, dp designPoint, fill func() T) (v T, hit bool) {
-	var k any = memoKey{kind, dp.key()}
-	c, ok := memo.Load(k)
-	if !ok {
-		c, _ = memo.LoadOrStore(k, new(memoCell))
+	c, owner := memoClaim(kind, dp)
+	if !owner {
+		return c.wait().(T), true
 	}
-	cell := c.(*memoCell)
-	hit = true
-	cell.once.Do(func() {
-		hit = false
-		cell.v = fill()
-	})
-	return cell.v.(T), hit
+	// A panicking fill still releases the waiters, which then fail on the
+	// missing value instead of blocking.
+	defer close(c.done)
+	c.v = fill()
+	return c.v.(T), false
 }
 
 // memoPeek returns the value stored for (kind, dp) by memoPut, if any. It
 // never waits: two passes racing over one point both compute it and store
 // equal values, which is cheaper than serializing the passes.
 func memoPeek[T any](kind memoKind, dp designPoint) (v T, ok bool) {
-	c, ok := memo.Load(memoKey{kind, dp.key()})
+	c, ok := memo.Load().Load(memoKey{kind, dp.key()})
 	if !ok {
 		return v, false
 	}
@@ -108,7 +140,7 @@ func memoPeek[T any](kind memoKind, dp designPoint) (v T, ok bool) {
 
 // memoPut stores v for (kind, dp); see memoPeek.
 func memoPut(kind memoKind, dp designPoint, v any) {
-	memo.Store(memoKey{kind, dp.key()}, &memoCell{v: v})
+	memo.Load().Store(memoKey{kind, dp.key()}, &memoCell{done: setDone, v: v})
 }
 
 // cachedRun returns the memoized phase-1 run of dp, simulating it with sim
@@ -177,13 +209,12 @@ func SetRunCacheEnabled(on bool) { runCacheOff.Store(!on) }
 // recordings, replayed counter points and phase-2 results — and zeroes
 // the counters, restoring process-cold behaviour. (Recordings in an
 // explicit SetTraceDir/LVA_TRACE_DIR store survive; the per-process temp
-// store is deleted.) It is intended for tests and benchmarks and must not
-// race with running experiments.
+// store is deleted.) It swaps in an empty memo store rather than deleting
+// entries, so it costs the same however much the last run memoized. It is
+// intended for tests and benchmarks and must not race with running
+// experiments.
 func ResetRunCache() {
-	memo.Range(func(k, _ any) bool {
-		memo.Delete(k)
-		return true
-	})
+	memo.Store(new(sync.Map))
 	resetTraceStore()
 	m := eng()
 	m.cacheHits.Reset()

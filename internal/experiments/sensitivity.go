@@ -34,23 +34,27 @@ func ExtMLP() *Figure {
 		{"ROB-64/MSHR-16", 64, 16},
 	}
 
-	for _, m := range machines {
-		m := m
-		row := Row{Label: m.label, Values: make([]float64, len(workloads.Names()))}
-		forEachWorkload("ext-mlp/"+m.label, func(i int, w workloads.Workload) {
+	// Each machine contributes a precise and a degree-0 LVA configuration.
+	rs := fullsysAll(func(w workloads.Workload) []fullsys.Config {
+		var cfgs []fullsys.Config
+		for _, m := range machines {
 			base := fullsys.DefaultConfig()
 			base.ROB = m.rob
 			base.MSHRs = m.mshrs
-			precise := runFullsys(w, base)
-
 			acfg := BaselineFor(w)
 			acfg.ValueDelay = 1
 			lvaCfg := base
 			lvaCfg.Approx = &acfg
-			lva := runFullsys(w, lvaCfg)
-
-			row.Values[i] = float64(precise.Cycles)/float64(lva.Cycles) - 1
-		})
+			cfgs = append(cfgs, base, lvaCfg)
+		}
+		return cfgs
+	})
+	for mi, m := range machines {
+		row := Row{Label: m.label}
+		for _, r := range rs {
+			precise, lva := r[2*mi], r[2*mi+1]
+			row.Values = append(row.Values, float64(precise.Cycles)/float64(lva.Cycles)-1)
+		}
 		f.Rows = append(f.Rows, row)
 	}
 	f.Notes = append(f.Notes,

@@ -222,6 +222,10 @@ type coreState struct {
 	head, npending int
 	mshr           []uint64 // completion times of in-flight fetches, capacity MSHRs
 	approx         *core.Approximator
+	// blk and pos are the core's cursor into a Stream: the next access is
+	// blk.accs[pos], and blk is nil once the core's accesses are done.
+	blk *streamBlock
+	pos int
 }
 
 func (c *coreState) cycles() uint64 { return c.cycleQ / 4 }
@@ -245,31 +249,81 @@ func (c *coreState) pushPending(p pendingMiss) {
 	c.npending++
 }
 
-// streamBlockAccesses sizes the blocks of RunStream's per-core queues: one
-// grid chunk.
+// streamBlockAccesses sizes the blocks a Stream files each core's accesses
+// into: one grid chunk.
 const streamBlockAccesses = 4096
 
-// streamBlock is one fixed segment of a RunStream core queue. next comes
-// first so the garbage collector scans one word, not the whole block.
+// streamBlock is one fixed segment of a core's accesses in a Stream. next
+// comes first so the garbage collector scans one word, not the whole block
+// (an Access holds no pointers). A block in a Stream is never empty.
 type streamBlock struct {
 	next *streamBlock
 	n    int // filled entries
 	accs [streamBlockAccesses]trace.Access
 }
 
-// accessQueue is a core's FIFO of decoded, not-yet-simulated accesses: a
-// list of blocks, so pops never move memory. head is nil exactly when the
-// queue is empty; otherwise pos < head.n.
-type accessQueue struct {
-	head, tail *streamBlock
-	pos        int // next unread entry of head
+// Stream is a recording decoded for a fixed core count: each core's
+// accesses in stream order, in fixed blocks. Decode builds it; it is
+// read-only afterwards, so any number of Sims may Run it concurrently.
+type Stream struct {
+	heads []*streamBlock // per core; nil when no access maps to the core
 }
 
-// peek returns the oldest queued access; the queue must be non-empty.
-func (q *accessQueue) peek() *trace.Access { return &q.head.accs[q.pos] }
+// Decode reads src to the end in one pass and files each access into its
+// core's blocks: thread t runs on core t mod cores, and threads is the
+// stream's thread count (GridHeader.Threads). An access whose thread is
+// not below threads is an error (a recording footer is outside input), as
+// is a source error; a Stream is returned only for the whole stream.
+//
+// A decoded Stream holds every access, 40 bytes each, in blocks that
+// Decode allocates and nothing recycles: the caller decides how many
+// Streams are alive at once.
+func Decode(cores, threads int, src trace.ChunkSource) (*Stream, error) {
+	if cores <= 0 {
+		return nil, fmt.Errorf("fullsys: cannot decode a stream for %d cores", cores)
+	}
+	st := &Stream{heads: make([]*streamBlock, cores)}
+	tails := make([]*streamBlock, cores)
+	var chunks, accesses uint64
+	for {
+		accs, _, err := src.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, err
+		}
+		chunks++
+		for i := range accs {
+			t := int(accs[i].Thread)
+			if t >= threads {
+				return nil, fmt.Errorf("fullsys: access %d is on thread %d, but the stream declares %d threads", accesses+uint64(i), t, threads)
+			}
+			c := t % cores
+			b := tails[c]
+			if b == nil || b.n == len(b.accs) {
+				nb := new(streamBlock)
+				if b == nil {
+					st.heads[c] = nb
+				} else {
+					b.next = nb
+				}
+				b, tails[c] = nb, nb
+			}
+			b.accs[b.n] = accs[i]
+			b.n++
+		}
+		accesses += uint64(len(accs))
+	}
+	// One provenance cost sample per decode, only when a ledger is active.
+	if l := prov.Active(); l != nil {
+		l.AddStream(chunks, accesses)
+	}
+	return st, nil
+}
 
-// Sim is the full-system simulator. Build with New, feed a recording with
-// RunStream.
+// Sim is the full-system simulator. Build with New, then feed it a
+// recording with RunStream, or a decoded Stream with Run.
 type Sim struct {
 	cfg   Config
 	mesh  *noc.Mesh
@@ -281,7 +335,6 @@ type Sim struct {
 	dram  *dram.DRAM
 	tally *energy.Tally
 	res   Result
-	free  *streamBlock // spare queue blocks for RunStream
 }
 
 // New builds a simulator; it panics on an invalid Config since
@@ -331,147 +384,57 @@ func (s *Sim) newCores() []*coreState {
 	return cores
 }
 
-// RunStream replays a grid stream chunk by chunk, never materializing the
-// whole trace. threads is the stream's thread count (GridHeader.Threads);
-// thread t maps to core t mod Cores, and a core participates when at
-// least one thread maps to it. Each core keeps a FIFO of decoded,
-// not-yet-simulated accesses, refilled from the source whenever a
-// participating core runs dry.
+// RunStream replays a grid stream: it decodes src (see Decode) for this
+// Sim's core count, then runs the decoded Stream. threads is the stream's
+// thread count (GridHeader.Threads). Callers that run one recording under
+// several configurations decode it once and call Run on each Sim instead.
+// RunStream may be called once per Sim.
+func (s *Sim) RunStream(threads int, src trace.ChunkSource) (Result, error) {
+	st, err := Decode(s.cfg.Cores, threads, src)
+	if err != nil {
+		return Result{}, err
+	}
+	return s.Run(st)
+}
+
+// Run replays a decoded Stream, which must have been decoded for this
+// Sim's core count. It only reads st. Run may be called once per Sim.
 //
 // Cores advance one access at a time, always the core whose next access
 // will issue earliest (its current time plus the compute gap before the
 // access). Shared-resource reservations (links, L2 banks, DRAM) then occur
 // in near-global time order, which the monotonic busy-until contention
 // model requires; residual leapfrogging from ROB/MSHR stalls is bounded by
-// one miss latency. The order does not depend on where chunk boundaries
-// fall, because before every pick each participating core either has its
-// true next access queued or the stream is exhausted.
-//
-// What stays buffered is set by how the recording lays out its threads,
-// not by the chunk size. Interleaved threads (canneal) keep every queue a
-// few accesses deep, but a recording that runs each thread as a contiguous
-// partition buffers the earlier threads' accesses until the last thread's
-// first access is decoded: measured peak windows are 16–85% of the stream
-// for the six partitioned kernels and 0.5% for canneal. Queues are built
-// from fixed 4096-access blocks recycled through the Sim, so consuming
-// them never moves memory and live memory tracks the total window.
-//
-// RunStream consumes the whole stream or returns an error; an access whose
-// thread is not below threads is an error (a recording footer is outside
-// input). RunStream may be called once per Sim.
-func (s *Sim) RunStream(threads int, src trace.ChunkSource) (Result, error) {
+// one miss latency.
+func (s *Sim) Run(st *Stream) (Result, error) {
+	if len(st.heads) != s.cfg.Cores {
+		return Result{}, fmt.Errorf("fullsys: stream decoded for %d cores, simulator has %d", len(st.heads), s.cfg.Cores)
+	}
 	cores := s.newCores()
-	queues := make([]accessQueue, s.cfg.Cores)
-	active := make([]bool, s.cfg.Cores)
-	for t := 0; t < threads; t++ {
-		active[t%s.cfg.Cores] = true
-	}
-	// hungry reports whether a participating core has nothing queued. With
-	// no participating core (threads <= 0) it stays true, so the whole
-	// stream is read and any access in it is rejected.
-	hungry := func() bool {
-		for i := range queues {
-			if active[i] && queues[i].head == nil {
-				return true
-			}
-		}
-		return threads <= 0
-	}
-	eof := false
-	var chunks, accesses uint64
-	refill := func() error {
-		for !eof && hungry() {
-			accs, _, err := src.Next()
-			if err == io.EOF {
-				eof = true
-				return nil
-			}
-			if err != nil {
-				return err
-			}
-			chunks++
-			for i := range accs {
-				t := int(accs[i].Thread)
-				if t >= threads {
-					return fmt.Errorf("fullsys: access %d is on thread %d, but the stream declares %d threads", accesses+uint64(i), t, threads)
-				}
-				s.push(&queues[t%s.cfg.Cores], &accs[i])
-			}
-			accesses += uint64(len(accs))
-		}
-		return nil
-	}
-
-	if err := refill(); err != nil {
-		return Result{}, err
+	for i, c := range cores {
+		c.blk = st.heads[i]
 	}
 	for {
-		next := -1
+		var next *coreState
 		var nextKey uint64
-		for i := range queues {
-			if queues[i].head == nil {
+		for _, c := range cores {
+			if c.blk == nil {
 				continue
 			}
-			key := cores[i].cycleQ + uint64(queues[i].peek().Gap)
-			if next < 0 || key < nextKey {
-				next, nextKey = i, key
+			key := c.cycleQ + uint64(c.blk.accs[c.pos].Gap)
+			if next == nil || key < nextKey {
+				next, nextKey = c, key
 			}
 		}
-		if next < 0 {
+		if next == nil {
 			break
 		}
-		q := &queues[next]
-		s.step(cores[next], q.peek())
-		s.pop(q)
-		// Only the core just stepped can have run dry.
-		if q.head == nil {
-			if err := refill(); err != nil {
-				return Result{}, err
-			}
+		s.step(next, &next.blk.accs[next.pos])
+		if next.pos++; next.pos == next.blk.n {
+			next.blk, next.pos = next.blk.next, 0
 		}
-	}
-
-	// One provenance cost sample per streamed run, only when a ledger is
-	// active.
-	if l := prov.Active(); l != nil {
-		l.AddStream(chunks, accesses)
 	}
 	return s.finish(cores), nil
-}
-
-// push appends a copy of *a to q, taking a block from the free list when
-// the tail block is full.
-func (s *Sim) push(q *accessQueue, a *trace.Access) {
-	b := q.tail
-	if b == nil || b.n == len(b.accs) {
-		if b = s.free; b != nil {
-			s.free, b.next, b.n = b.next, nil, 0
-		} else {
-			b = new(streamBlock)
-		}
-		if q.tail == nil {
-			q.head = b
-		} else {
-			q.tail.next = b
-		}
-		q.tail = b
-	}
-	b.accs[b.n] = *a
-	b.n++
-}
-
-// pop drops q's oldest access and returns its block to the free list once
-// the block is used up.
-func (s *Sim) pop(q *accessQueue) {
-	b := q.head
-	if q.pos++; q.pos < b.n {
-		return
-	}
-	q.head, q.pos = b.next, 0
-	if q.head == nil {
-		q.tail = nil
-	}
-	b.next, s.free = s.free, b
 }
 
 // finish drains outstanding misses and assembles the Result.

@@ -10,8 +10,7 @@ import (
 )
 
 // oneChunk is a ChunkSource that yields its accesses as a single chunk.
-// RunStream reads only each access's Gap, so it supplies no instruction
-// indices.
+// Decode reads no instruction indices, so it supplies none.
 type oneChunk struct {
 	accs []trace.Access
 	done bool

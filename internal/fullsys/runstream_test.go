@@ -6,6 +6,7 @@ import (
 	"math"
 	"reflect"
 	"runtime/debug"
+	"sync"
 	"testing"
 
 	"lva/internal/trace"
@@ -286,37 +287,47 @@ func TestRunStreamRejectsUndeclaredThreads(t *testing.T) {
 	}
 }
 
-// TestRunStreamAllocsDoNotGrow pins the streaming hot path allocation-free:
-// once queues, rings and the directory have reached their working size,
-// simulating four times as many accesses allocates nothing more. The
-// threads interleave and share blocks, so stores invalidate and loads flush
-// remote copies, and their accesses are spaced further apart than any miss
-// takes to complete, so the cores advance in lockstep and the queues stay
-// equally shallow at both lengths. The collector is off while measuring:
-// after each cycle the runtime cleans up the unique package's maps on its
-// own goroutine, and those allocations would count against the longer
-// stream, which collects more often.
-func TestRunStreamAllocsDoNotGrow(t *testing.T) {
+// coherentStream encodes n accesses whose four threads interleave and
+// share blocks, so stores invalidate and loads flush remote copies. The
+// accesses are spaced further apart than any miss takes to complete, so the
+// cores advance in lockstep.
+func coherentStream(t *testing.T, n int) ([]byte, trace.GridHeader) {
+	t.Helper()
+	var buf bytes.Buffer
+	w := trace.NewGridWriter(&buf, "unit", "k", 1)
+	for i := 0; i < n; i++ {
+		addr := 0x10000 + uint64(i/4*2654435761)%2048*64
+		op := trace.Load
+		if i%5 == 0 {
+			op = trace.Store
+		}
+		w.Access(0x400+uint64(i%8)*4, addr, value.FromInt(int64(i%97)), op, i%2 == 0, uint8(i%4), uint64(i)*4000)
+	}
+	hdr, err := w.Finish(uint64(n)*4000, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes(), hdr
+}
+
+// TestRunAllocsDoNotGrow pins the phase-2 hot path allocation-free: once
+// rings and the directory have reached their working size, running a
+// decoded Stream four times as long allocates nothing more. The collector
+// is off while measuring: after each cycle the runtime cleans up the unique
+// package's maps on its own goroutine, and those allocations would count
+// against the longer stream, which collects more often.
+func TestRunAllocsDoNotGrow(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	cfg := DefaultConfig()
 	cfg.Approx = approxCfg(4)
 	allocs := func(n int) float64 {
-		var buf bytes.Buffer
-		w := trace.NewGridWriter(&buf, "unit", "k", 1)
-		for i := 0; i < n; i++ {
-			addr := 0x10000 + uint64(i/4*2654435761)%2048*64
-			op := trace.Load
-			if i%5 == 0 {
-				op = trace.Store
-			}
-			w.Access(0x400+uint64(i%8)*4, addr, value.FromInt(int64(i%97)), op, i%2 == 0, uint8(i%4), uint64(i)*4000)
-		}
-		hdr, err := w.Finish(uint64(n)*4000, nil)
+		encoded, hdr := coherentStream(t, n)
+		st, err := Decode(cfg.Cores, hdr.Threads, gridReader(t, encoded))
 		if err != nil {
 			t.Fatal(err)
 		}
 		return testing.AllocsPerRun(3, func() {
-			r, err := New(cfg).RunStream(hdr.Threads, gridReader(t, buf.Bytes()))
+			r, err := New(cfg).Run(st)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -327,7 +338,97 @@ func TestRunStreamAllocsDoNotGrow(t *testing.T) {
 		})
 	}
 	short, long := allocs(20000), allocs(80000)
+	t.Logf("Run allocations: %v for 20000 accesses, %v for 80000", short, long)
 	if long > short {
-		t.Fatalf("RunStream allocations grow with the stream: %v for 20000 accesses, %v for 80000", short, long)
+		t.Fatalf("Run allocations grow with the stream: %v for 20000 accesses, %v for 80000", short, long)
+	}
+}
+
+// TestDecodeAllocatesOneBlockPerChunk bounds decoding a grid file: one
+// block per streamBlockAccesses accesses of each core, plus a constant.
+// The constant covers Decode's three (the Stream and its per-core lists)
+// and a fresh GridReader's, which reuses its payload and access buffers
+// from chunk to chunk (17 in all today, most of them the footer's JSON).
+// A GridReader or a Decode that allocated per chunk would exceed the bound
+// at 80000 accesses (20 chunks).
+func TestDecodeAllocatesOneBlockPerChunk(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const cores, slack = 4, 24
+	for _, n := range []int{20000, 80000} {
+		encoded, hdr := coherentStream(t, n)
+		// The threads interleave, so every core gets n/cores accesses.
+		blocks := cores * ((n/cores + streamBlockAccesses - 1) / streamBlockAccesses)
+		got := testing.AllocsPerRun(3, func() {
+			if _, err := Decode(cores, hdr.Threads, gridReader(t, encoded)); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%d accesses: decoding made %v allocations for %d blocks", n, got, blocks)
+		if got > float64(blocks+slack) {
+			t.Errorf("%d accesses: decoding made %v allocations, want at most %d blocks + %d", n, got, blocks, slack)
+		}
+	}
+}
+
+// TestRunSharedStreamConcurrently runs one decoded Stream on six Sims at
+// once; each result must equal a RunStream of its own. Under -race this
+// also checks that Run only reads the Stream.
+func TestRunSharedStreamConcurrently(t *testing.T) {
+	encoded, hdr := encodeGridStream(t, 20000, 4, partitioned)
+	var cfgs []Config
+	for _, d := range []int{-1, 0, 2, 4, 8, 16} {
+		cfg := DefaultConfig()
+		if d >= 0 {
+			cfg.Approx = approxCfg(d)
+		}
+		cfgs = append(cfgs, cfg)
+	}
+	want := make([]Result, len(cfgs))
+	for i, cfg := range cfgs {
+		r, err := New(cfg).RunStream(hdr.Threads, gridReader(t, encoded))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = r
+	}
+	st, err := Decode(DefaultConfig().Cores, hdr.Threads, gridReader(t, encoded))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]Result, len(cfgs))
+	errs := make([]error, len(cfgs))
+	var wg sync.WaitGroup
+	for i := range cfgs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i], errs[i] = New(cfgs[i]).Run(st)
+		}(i)
+	}
+	wg.Wait()
+	for i := range cfgs {
+		if errs[i] != nil {
+			t.Fatalf("config %d: %v", i, errs[i])
+		}
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Errorf("config %d: shared-stream result differs\n got %+v\nwant %+v", i, got[i], want[i])
+		}
+	}
+}
+
+// TestRunRejectsOtherCoreCount covers a Stream decoded for another core
+// count: its accesses are filed by the wrong core mapping, so Run must
+// refuse it rather than simulate it.
+func TestRunRejectsOtherCoreCount(t *testing.T) {
+	encoded, hdr := encodeGridStream(t, 5000, 4, roundRobin)
+	st, err := Decode(2, hdr.Threads, gridReader(t, encoded))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r, err := New(DefaultConfig()).Run(st); err == nil {
+		t.Fatalf("2-core stream on a %d-core Sim: no error, result %+v", DefaultConfig().Cores, r)
+	}
+	if _, err := Decode(0, hdr.Threads, gridReader(t, encoded)); err == nil {
+		t.Fatal("Decode for 0 cores: no error")
 	}
 }

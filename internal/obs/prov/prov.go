@@ -117,7 +117,7 @@ type Cost struct {
 }
 
 // CostStats is a snapshot of the ledger's volatile decode/stream
-// accounting, fed by memsim.Replay and fullsys.RunStream.
+// accounting, fed by memsim.Replay and fullsys.Decode.
 type CostStats struct {
 	// DecodePasses counts grid decode passes driven through
 	// memsim.Replay while the ledger was active.
@@ -131,8 +131,8 @@ type CostStats struct {
 	// ReplaySims counts per-point simulators driven by the passes (one
 	// pass fans each access out to every pending design point).
 	ReplaySims uint64
-	// StreamedChunks / StreamedAccesses count phase-2 full-system
-	// streaming volume (fullsys.RunStream).
+	// StreamedChunks / StreamedAccesses count what phase 2 decoded for
+	// the full-system model (fullsys.Decode).
 	StreamedChunks   uint64
 	StreamedAccesses uint64
 }
@@ -278,7 +278,7 @@ func (l *Ledger) AddDecodedBytes(n uint64) {
 	l.decodedBytes.Add(n)
 }
 
-// AddStream accounts phase-2 streaming volume (fullsys.RunStream).
+// AddStream accounts one phase-2 decode (fullsys.Decode).
 func (l *Ledger) AddStream(chunks, accesses uint64) {
 	if l == nil {
 		return
