@@ -1,19 +1,18 @@
-// Benchmarks regenerating every table and figure of the paper's evaluation
-// (§VI). Each BenchmarkTableN/BenchmarkFigN runs the corresponding
-// experiment driver — the same code behind `lvaexp <id>` — and reports the
-// headline number of that artifact as a custom metric so `go test -bench`
-// output doubles as a results summary. Run with -v to print the full
-// rows/series the paper plots.
+// Micro-benchmarks for the hot-path layers: the approximator, memsim's
+// load paths, the batched workload accessors, the two halves of the
+// grid-trace pipeline, and phase 2's NoC, directory and full-system
+// stream. They are developer tools for measuring one layer while you work:
 //
-//	go test -bench=. -benchmem
+//	go test -run '^$' -bench . -benchmem .
 //
-// Micro-benchmarks for the core structures (approximator, cache, NoC,
-// prefetcher) follow at the bottom.
+// The repository benchmark is lvabench (bash lvabench/run.sh --workload W),
+// which regenerates groups of the paper's figures from explicit start
+// states. ./ci.sh overhead runs the two obs on/off pairs below and bounds
+// their ratios.
 package lva_test
 
 import (
 	"bytes"
-	"fmt"
 	"io"
 	"testing"
 
@@ -23,165 +22,9 @@ import (
 	"lva/internal/fullsys"
 	"lva/internal/memsim"
 	"lva/internal/noc"
-	"lva/internal/stats"
 	"lva/internal/trace"
 	"lva/internal/workloads"
 )
-
-// runFigure drives one experiment per iteration; the figure's table is
-// printed once under -v so the bench regenerates the paper's rows.
-func runFigure(b *testing.B, id string) *experiments.Figure {
-	b.Helper()
-	var fig *experiments.Figure
-	for i := 0; i < b.N; i++ {
-		f, ok := lva.RunExperiment(id)
-		if !ok {
-			b.Fatalf("unknown experiment %q", id)
-		}
-		fig = f
-	}
-	if testing.Verbose() {
-		fmt.Println(fig.String())
-	}
-	return fig
-}
-
-// rowMean returns the mean of a series, failing the bench if it is absent.
-func rowMean(b *testing.B, f *experiments.Figure, label string) float64 {
-	b.Helper()
-	r, ok := f.Row(label)
-	if !ok {
-		b.Fatalf("%s: missing series %q", f.ID, label)
-	}
-	return r.Mean()
-}
-
-// BenchmarkTable1 measures the warm-store process-cold path of the
-// record-once trace pipeline: every iteration drops the in-memory caches
-// (ResetRunCache) but keeps the on-disk grid recordings, so regenerating
-// Table 1 costs 14 footer reads and zero simulation — the cost a fresh
-// process pointed at LVA_TRACE_DIR pays.
-func BenchmarkTable1(b *testing.B) {
-	// Deferred last→first: drop this bench's private state, then leave the
-	// shared caches warm for the benchmarks that follow — exactly the state
-	// a plain Table 1 regeneration leaves behind.
-	defer lva.RunExperiment("table1")
-	experiments.SetTraceDir(b.TempDir())
-	defer experiments.SetTraceDir("")
-	lva.ResetRunCache()
-	defer lva.ResetRunCache()
-	if _, ok := lva.RunExperiment("table1"); !ok { // record the 14 streams
-		b.Fatal("unknown experiment table1")
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	var fig *experiments.Figure
-	for i := 0; i < b.N; i++ {
-		lva.ResetRunCache()
-		f, _ := lva.RunExperiment("table1")
-		fig = f
-	}
-	b.StopTimer()
-	if testing.Verbose() {
-		fmt.Println(fig.String())
-	}
-	b.ReportMetric(rowMean(b, fig, "precise L1 MPKI"), "meanMPKI")
-	b.ReportMetric(rowMean(b, fig, "inst count variation %"), "meanInstVar%")
-}
-
-func BenchmarkFig1(b *testing.B) {
-	f := runFigure(b, "fig1")
-	b.ReportMetric(rowMean(b, f, "output error")*100, "bodytrackErr%")
-}
-
-func BenchmarkFig4(b *testing.B) {
-	f := runFigure(b, "fig4")
-	b.ReportMetric(rowMean(b, f, "LVA-GHB-0"), "lvaGHB0normMPKI")
-	b.ReportMetric(rowMean(b, f, "LVP-GHB-0"), "lvpGHB0normMPKI")
-}
-
-func BenchmarkFig5(b *testing.B) {
-	f := runFigure(b, "fig5")
-	b.ReportMetric(rowMean(b, f, "GHB-0")*100, "meanErr%GHB0")
-}
-
-func BenchmarkFig6(b *testing.B) {
-	f := runFigure(b, "fig6")
-	b.ReportMetric(rowMean(b, f, "MPKI 10%"), "normMPKI@10%")
-	b.ReportMetric(rowMean(b, f, "error infinite")*100, "err%@inf")
-}
-
-func BenchmarkFig7(b *testing.B) {
-	f := runFigure(b, "fig7")
-	b.ReportMetric(rowMean(b, f, "MPKI delay-4"), "normMPKI@d4")
-	b.ReportMetric(rowMean(b, f, "MPKI delay-32"), "normMPKI@d32")
-}
-
-func BenchmarkFig8(b *testing.B) {
-	f := runFigure(b, "fig8")
-	b.ReportMetric(rowMean(b, f, "fetches prefetch-16"), "prefetch16fetches")
-	b.ReportMetric(rowMean(b, f, "fetches approx-16"), "approx16fetches")
-}
-
-func BenchmarkFig9(b *testing.B) {
-	f := runFigure(b, "fig9")
-	b.ReportMetric(rowMean(b, f, "approx-0")*100, "err%@deg0")
-	b.ReportMetric(rowMean(b, f, "approx-16")*100, "err%@deg16")
-}
-
-func BenchmarkFig10(b *testing.B) {
-	f := runFigure(b, "fig10")
-	b.ReportMetric(rowMean(b, f, "speedup approx-0")*100, "speedup%@deg0")
-	b.ReportMetric(rowMean(b, f, "energy savings approx-16")*100, "energySave%@deg16")
-}
-
-func BenchmarkFig11(b *testing.B) {
-	f := runFigure(b, "fig11")
-	b.ReportMetric(rowMean(b, f, "approx-0"), "normEDP@deg0")
-	b.ReportMetric(rowMean(b, f, "approx-16"), "normEDP@deg16")
-}
-
-func BenchmarkFig12(b *testing.B) {
-	f := runFigure(b, "fig12")
-	row, _ := f.Row("static approx load PCs")
-	b.ReportMetric(stats.Max(row.Values), "maxStaticPCs")
-}
-
-func BenchmarkFig13(b *testing.B) {
-	f := runFigure(b, "fig13")
-	b.ReportMetric(rowMean(b, f, "loss-0 bits"), "normMPKI@loss0")
-	b.ReportMetric(rowMean(b, f, "loss-23 bits"), "normMPKI@loss23")
-}
-
-// ---------------------------------------------------------------------------
-// End-to-end benchmarks: regenerating the whole registry through the run
-// cache, cold (every design point simulated once) and warm (every point a
-// cache hit).
-
-func BenchmarkRunAllCold(b *testing.B) {
-	var dedup float64
-	for i := 0; i < b.N; i++ {
-		lva.ResetRunCache()
-		if _, err := lva.RunAll(); err != nil {
-			b.Fatal(err)
-		}
-		dedup = lva.RunCacheCounters().DedupFraction()
-	}
-	b.ReportMetric(dedup*100, "dedup%")
-}
-
-func BenchmarkRunAllWarm(b *testing.B) {
-	lva.ResetRunCache()
-	if _, err := lva.RunAll(); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := lva.RunAll(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
 
 // BenchmarkRunCacheHit measures the memo-store fast path: one already-
 // simulated design point served from the cache.
@@ -371,11 +214,11 @@ func BenchmarkGridReplay(b *testing.B) {
 
 // ---------------------------------------------------------------------------
 // Phase-2 benchmarks: the full-system model's per-access layers. NoCSend
-// and DirectoryStore allocate nothing, so benchdiff fails them as soon as
-// they allocate. FullSystemStream allocates the simulator and the decoded
-// recording: RunStream decodes the whole stream (one block per 4096
-// accesses of each core) before running it, so its block count follows the
-// stream's length.
+// and DirectoryStore allocate nothing; TestSendAllocatesNothing (noc) and
+// TestOpsAllocateNothing (coherence) fail as soon as they allocate.
+// FullSystemStream allocates the simulator and the decoded recording:
+// RunStream decodes the whole stream (one block per 4096 accesses of each
+// core) before running it, so its block count follows the stream's length.
 
 // BenchmarkNoCSend measures one control packet on the 2x2 mesh, cycling
 // through every source/destination pair.

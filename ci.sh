@@ -11,27 +11,17 @@
 #   bench module — go vet ./... && go test ./... inside lvabench/ (a nested
 #            module, so the root ./... never reaches it)
 #
-# `./ci.sh bench [-baseline FILE]` instead runs the benchmark suite once
-# (-benchtime=1x), writes the machine-readable go-test event stream to
-# BENCH_<stamp>.json, and regenerates every figure with `lvaexp -metrics
-# -timeline -manifest` so the deterministic metrics snapshot
-# (METRICS_<stamp>.json), the Perfetto-loadable run timeline
-# (TIMELINE_<stamp>.json) and the provenance manifest (PROV_<stamp>.json)
-# are archived next to it; the manifest is then schema-validated and
-# route-reconciled via `lvareport -provenance`, which fails the run on any
-# drift. It then compares the fresh snapshot against a baseline via
-# cmd/benchdiff — FILE when -baseline is given, else the newest committed
-# BENCH_*.json (benchdiff auto-selects and says which; a repo with no
-# prior snapshot skips the compare) — and FAILS on a >15% wall-time
-# regression in any benchmark slower than 1 ms — the perf gate. CI runs
-# this blocking; set BENCHDIFF_FLAGS=-warn-only to demote the compare to
-# advisory (the manual escape hatch for noisy machines).
-#
 # `./ci.sh overhead` checks the observability layer's cost: it runs the
 # hot-path micro-benchmarks with the obs registry disabled and enabled and
 # bounds the on/off ratio. The disabled path carries no instrumentation at
 # all (nil seam pointer), so a blown bound means someone put work on the
 # wrong side of the seam.
+#
+# Wall time, CPU time and allocations are measured by the repository
+# benchmark, lvabench (`bash lvabench/run.sh --workload W`, see
+# lvabench/README.md), on a change and on its parent; the micro-benchmarks
+# in bench_test.go are developer tools and gate nothing beyond the overhead
+# check.
 #
 # Tier-1 (the minimum every PR must keep green) is build + test; the other
 # steps are the determinism/validation gate this repo's results depend on.
@@ -42,45 +32,6 @@ step() {
     echo "==> $*"
     "$@"
 }
-
-if [[ "${1:-}" == "bench" ]]; then
-    baseline=""
-    if [[ "${2:-}" == "-baseline" ]]; then
-        baseline="${3:?ci.sh bench -baseline requires a BENCH_*.json path}"
-        [[ -f "${baseline}" ]] || { echo "ci.sh: baseline ${baseline} not found" >&2; exit 2; }
-    fi
-    stamp="$(date -u +%Y%m%dT%H%M%SZ)"
-    out="BENCH_${stamp}.json"
-    echo "==> go test -bench (single iteration) -> ${out}"
-    go test -json -run '^$' -bench . -benchtime=1x -benchmem ./... > "${out}"
-    echo "ci.sh: benchmark snapshot written to ${out}"
-    metrics="METRICS_${stamp}.json"
-    tl="TIMELINE_${stamp}.json"
-    prov="PROV_${stamp}.json"
-    echo "==> lvaexp -metrics -timeline -manifest (registry + timeline + provenance) -> ${metrics}, ${tl}, ${prov}"
-    go run ./cmd/lvaexp -metrics "${metrics}" -timeline "${tl}" -manifest "${prov}" all > /dev/null
-    echo "ci.sh: metrics snapshot written to ${metrics}"
-    echo "ci.sh: run timeline written to ${tl} (open at https://ui.perfetto.dev)"
-    echo "ci.sh: provenance manifest written to ${prov}"
-    # Blocking audit gate: the manifest must parse against the schema and
-    # its per-route record counts must reconcile exactly with the embedded
-    # trace-store counters. A failure means an engine path evaluated a
-    # design point without emitting (or mis-attributing) its provenance.
-    step go run ./cmd/lvareport -provenance "${prov}"
-    # BENCHDIFF_FLAGS=-warn-only turns the gate advisory (escape hatch).
-    if [[ -n "${baseline}" ]]; then
-        echo "==> benchdiff ${baseline} -> ${out}"
-        # shellcheck disable=SC2086
-        go run ./cmd/benchdiff ${BENCHDIFF_FLAGS:-} "${baseline}" "${out}"
-    else
-        # No explicit baseline: benchdiff picks the newest committed
-        # BENCH_*.json itself (and skips cleanly when none exists yet).
-        echo "==> benchdiff <auto> -> ${out}"
-        # shellcheck disable=SC2086
-        go run ./cmd/benchdiff ${BENCHDIFF_FLAGS:-} "${out}"
-    fi
-    exit 0
-fi
 
 if [[ "${1:-}" == "overhead" ]]; then
     echo "==> metrics overhead check (hot-path benchmarks, obs registry off vs on)"
@@ -115,6 +66,13 @@ if [[ "${1:-}" == "overhead" ]]; then
     ' <<<"${out}"
     echo "ci.sh: metrics overhead within bounds"
     exit 0
+fi
+
+# The full gate takes no arguments; refuse any (a retired `bench` mode
+# included) rather than quietly running the whole gate instead.
+if [[ $# -gt 0 ]]; then
+    echo "ci.sh: unknown mode '$1' (run ./ci.sh or ./ci.sh overhead)" >&2
+    exit 2
 fi
 
 step go build ./...

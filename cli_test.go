@@ -7,6 +7,8 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -95,17 +97,20 @@ func TestLvaexpJSON(t *testing.T) {
 	}
 }
 
-// TestLvaexpUnknownExperiment feeds lvaexp arguments it cannot use: each
-// must exit 2 with its message before anything simulates, so the trace
-// store it points at stays empty.
+// TestLvaexpUnknownExperiment feeds lvaexp arguments it cannot use,
+// including an output file it cannot create: each must exit 2 with its
+// message before anything simulates, so the trace store it points at stays
+// empty.
 func TestLvaexpUnknownExperiment(t *testing.T) {
 	bin := buildCLI(t, "lvaexp")
+	unwritable := filepath.Join(t.TempDir(), "missing", "m.json")
 	cases := []struct {
 		args []string
 		want string
 	}{
 		{[]string{"nosuch"}, `lvaexp: unknown experiment "nosuch"`},
 		{[]string{"-format", "xml", "table1"}, `lvaexp: unknown format "xml"`},
+		{[]string{"-metrics", unwritable, "fig12"}, "lvaexp: -metrics: open " + unwritable},
 	}
 	for _, c := range cases {
 		store := t.TempDir()
@@ -348,18 +353,23 @@ func TestLvareportMetricsSection(t *testing.T) {
 	}
 }
 
-// TestLvaexpTimelineAndAttr drives the flight-recorder flags end to end:
-// -timeline must write Perfetto-loadable Chrome trace-event JSON and -attr
-// a byte-stable attribution snapshot with per-site and per-epoch records.
+// TestLvaexpTimelineAndAttr drives the flight-recorder flags end to end,
+// with every observer on in one process: -timeline must write
+// Perfetto-loadable Chrome trace-event JSON, -attr a byte-stable
+// attribution snapshot with per-site and per-epoch records, and -manifest
+// a provenance manifest that lvareport -provenance reconciles.
 func TestLvaexpTimelineAndAttr(t *testing.T) {
 	bin := buildCLI(t, "lvaexp")
 	dir := t.TempDir()
 	tlPath := filepath.Join(dir, "timeline.json")
 	attrPaths := [2]string{filepath.Join(dir, "attr-a.json"), filepath.Join(dir, "attr-b.json")}
+	provPath := filepath.Join(dir, "prov.ndjson")
 
-	if out, stderr, err := runCLI(t, bin, "-timeline", tlPath, "-attr", attrPaths[0], "fig12"); err != nil {
-		t.Fatalf("lvaexp -timeline -attr: %v\n%s%s", err, out, stderr)
+	if out, stderr, err := runCLI(t, bin, "-timeline", tlPath, "-attr", attrPaths[0],
+		"-manifest", provPath, "-metrics", filepath.Join(dir, "metrics.json"), "fig12"); err != nil {
+		t.Fatalf("lvaexp -timeline -attr -manifest -metrics: %v\n%s%s", err, out, stderr)
 	}
+	checkProvenanceAudit(t, provPath)
 
 	tl, err := os.ReadFile(tlPath)
 	if err != nil {
@@ -423,6 +433,38 @@ func TestLvaexpTimelineAndAttr(t *testing.T) {
 	}
 	if sites == 0 || epochs == 0 {
 		t.Fatalf("-attr snapshot has %d sites and %d epochs, want both > 0", sites, epochs)
+	}
+}
+
+// checkProvenanceAudit requires lvareport -provenance to reconcile the
+// manifest at path, and to reject a copy missing one record line with
+// exit status 1 and a provenance message, never a panic.
+func checkProvenanceAudit(t *testing.T, path string) {
+	t.Helper()
+	bin := buildCLI(t, "lvareport")
+	out, stderr, err := runCLI(t, bin, "-provenance", path)
+	if err != nil || !strings.Contains(out, "Route counts reconcile with the engine counters") {
+		t.Fatalf("lvareport -provenance: %v\n%s%s", err, out, stderr)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := regexp.MustCompile(`(?m)^\{"kind":"record".*\n`).FindIndex(data)
+	if rec == nil {
+		t.Fatalf("manifest has no record line:\n%.500s", data)
+	}
+	short := filepath.Join(t.TempDir(), "dropped.ndjson")
+	if err := os.WriteFile(short, slices.Concat(data[:rec[0]], data[rec[1]:]), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, stderr, err = runCLI(t, bin, "-provenance", short)
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Errorf("manifest missing a record: err = %v, want exit status 1", err)
+	}
+	if !strings.Contains(stderr, "lvareport: provenance:") || strings.Contains(stderr, "panic:") {
+		t.Errorf("manifest missing a record: stderr = %q, want an lvareport: provenance: message and no panic", stderr)
 	}
 }
 

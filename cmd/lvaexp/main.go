@@ -65,6 +65,10 @@ func main() {
 			os.Exit(2)
 		}
 	}
+	metricsF := create("metrics", *metricsOut)
+	timelineF := create("timeline", *timelineOut)
+	attrF := create("attr", *attrOut)
+	manifestF := create("manifest", *manifestOut)
 
 	// -metrics implies full instrumentation: enable before any simulator is
 	// constructed so the hot-path seams wire up. -attr likewise enables the
@@ -131,48 +135,50 @@ func main() {
 		fmt.Fprintf(os.Stderr, "lvaexp: grid traces: %d recorded, %d point(s) footer-served, %d replayed in %d pass(es) (+%d memo hits), %d executed\n",
 			t.Recordings, t.HeaderHits, t.ReplayPoints, t.ReplayPasses, t.ReplayHits, t.ExecPoints)
 	}
-	if *metricsOut != "" {
+	if metricsF != nil {
 		b, err := obs.Default().Snapshot(false).JSON()
-		if err == nil {
-			err = os.WriteFile(*metricsOut, b, 0o644)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "lvaexp: write metrics:", err)
-			os.Exit(1)
-		}
+		finish(metricsF, "metrics", b, err)
 	}
-	if *timelineOut != "" {
+	if timelineF != nil {
 		b, err := experiments.TimelineJSON()
-		if err == nil {
-			err = os.WriteFile(*timelineOut, b, 0o644)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "lvaexp: write timeline:", err)
-			os.Exit(1)
-		}
+		finish(timelineF, "timeline", b, err)
 		experiments.StopTimeline()
 	}
-	if *attrOut != "" {
+	if attrF != nil {
 		b, err := attr.TakeSnapshot().JSON()
-		if err == nil {
-			err = os.WriteFile(*attrOut, b, 0o644)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "lvaexp: write attribution:", err)
-			os.Exit(1)
-		}
+		finish(attrF, "attribution", b, err)
 	}
-	if *manifestOut != "" {
-		f, err := os.Create(*manifestOut)
-		if err == nil {
-			err = experiments.WriteProvManifest(f)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "lvaexp: write manifest:", err)
-			os.Exit(1)
-		}
+	if manifestF != nil {
+		finish(manifestF, "manifest", nil, experiments.WriteProvManifest(manifestF))
+	}
+}
+
+// create opens the file an output flag names, or returns nil when the flag
+// is unset. It runs before anything simulates, so an unwritable path is an
+// argument error rather than a failure after the whole run.
+func create(flagName, path string) *os.File {
+	if path == "" {
+		return nil
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "lvaexp: -%s: %v\n", flagName, err)
+		os.Exit(2)
+	}
+	return f
+}
+
+// finish writes b to f and closes it; err is the error from producing b
+// (or from writing f directly, with b nil).
+func finish(f *os.File, what string, b []byte, err error) {
+	if err == nil {
+		_, err = f.Write(b)
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "lvaexp: write %s: %v\n", what, err)
+		os.Exit(1)
 	}
 }

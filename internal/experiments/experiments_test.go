@@ -1,11 +1,22 @@
 package experiments
 
 import (
+	"os"
 	"strings"
 	"testing"
 
 	"lva/internal/workloads"
 )
+
+// TestMain deletes the per-process trace store once every test has run.
+// RunAll records into a lazily created temp directory that only
+// ResetRunCache removes, and a test run alone (TestFigureGoldenHashes,
+// say) may never call it.
+func TestMain(m *testing.M) {
+	code := m.Run()
+	ResetRunCache()
+	os.Exit(code)
+}
 
 func TestRegistryAndIDs(t *testing.T) {
 	ids := IDs()

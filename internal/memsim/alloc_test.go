@@ -5,6 +5,7 @@ import (
 	"io"
 	"testing"
 
+	"lva/internal/obs"
 	"lva/internal/prefetch"
 	"lva/internal/trace"
 )
@@ -23,15 +24,31 @@ func assertZeroAllocs(t *testing.T, name string, fn func()) {
 }
 
 func TestPerLoadPathsAllocateNothing(t *testing.T) {
+	perLoadPathsAllocateNothing(t, New)
+	// With metrics on, every miss also bumps the seam's miss and fetch
+	// counters and the approximator's training counters and error
+	// histogram; those must stay off the heap too.
+	t.Run("metrics on", func(t *testing.T) {
+		perLoadPathsAllocateNothing(t, func(cfg Config) *Sim {
+			obs.SetEnabled(true)
+			defer obs.SetEnabled(false)
+			return New(cfg)
+		})
+	})
+}
+
+// perLoadPathsAllocateNothing runs every per-load path's allocation check
+// on simulators built by newSim.
+func perLoadPathsAllocateNothing(t *testing.T, newSim func(Config) *Sim) {
 	t.Run("load hit", func(t *testing.T) {
-		sim := New(DefaultConfig())
+		sim := newSim(DefaultConfig())
 		sim.LoadFloat(0x400, 0x1000, 1, false) // warm the block
 		assertZeroAllocs(t, "float hit", func() { sim.LoadFloat(0x400, 0x1000, 1, false) })
 		assertZeroAllocs(t, "int hit", func() { sim.LoadInt(0x404, 0x1008, 2, true) })
 	})
 
 	t.Run("store hit and miss", func(t *testing.T) {
-		sim := New(DefaultConfig())
+		sim := newSim(DefaultConfig())
 		sim.Store(0x400, 0x1000)
 		addr := uint64(0x100000)
 		assertZeroAllocs(t, "store hit", func() { sim.Store(0x400, 0x1000) })
@@ -41,7 +58,7 @@ func TestPerLoadPathsAllocateNothing(t *testing.T) {
 	t.Run("covered miss delay-0", func(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.Approx.ValueDelay = 0
-		sim := New(cfg)
+		sim := newSim(cfg)
 		// Warm the approximator table for a handful of static PCs so the
 		// steady state retrains existing entries (LHB backing reused).
 		for i := 0; i < 256; i++ {
@@ -59,7 +76,7 @@ func TestPerLoadPathsAllocateNothing(t *testing.T) {
 	t.Run("delayed training steady state", func(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.Approx.ValueDelay = 4
-		sim := New(cfg)
+		sim := newSim(cfg)
 		for i := 0; i < 256; i++ {
 			sim.LoadInt(uint64(0x400+i%8*4), uint64(0x100000+i*64), 10, true)
 		}
@@ -86,7 +103,7 @@ func TestPerLoadPathsAllocateNothing(t *testing.T) {
 			cfg.Attach = AttachPrefetch
 			cfg.Prefetch = prefetch.DefaultConfig()
 			cfg.Prefetch.Degree = degree
-			sim := New(cfg)
+			sim := newSim(cfg)
 			x := uint64(1)
 			addr := func() uint64 {
 				x = x*6364136223846793005 + 1442695040888963407
@@ -110,7 +127,7 @@ func TestPerLoadPathsAllocateNothing(t *testing.T) {
 		// Each measured call records one full 4096-access chunk of hits, so
 		// every run crosses a chunk boundary and pays for one flush.
 		const chunk = 4096
-		sim := New(DefaultConfig())
+		sim := newSim(DefaultConfig())
 		gw := trace.NewGridWriter(io.Discard, "alloc-test", "k", 1)
 		sim.SetGridCapture(gw)
 		sim.LoadFloat(0x400, 0x1000, 1, false)

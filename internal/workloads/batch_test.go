@@ -180,3 +180,34 @@ func TestBatchedAccessorsMatchScalar(t *testing.T) {
 		})
 	}
 }
+
+// TestBatchedAccessorsAllocateNothing pins the batched accessors at zero
+// steady-state allocations. Each call reads or writes a window the L1
+// already holds (AllocsPerRun's warm-up call fills it), so any allocation
+// is the accessor's own.
+func TestBatchedAccessorsAllocateNothing(t *testing.T) {
+	sim := memsim.New(memsim.DefaultConfig())
+	arena := NewArena()
+	ax := NewF64Array(arena, 512)
+	ay := NewF64Array(arena, 512)
+	pix := NewI32Array(arena, 1024)
+	arrays := []*F64Array{ax, ay}
+	pcs := []uint64{pcBase(1, 0), pcBase(1, 1), pcBase(1, 2), pcBase(1, 3)}
+	fbuf := make([]float64, 64)
+	ibuf := make([]int32, 64)
+	cases := []struct {
+		name string
+		fn   func()
+	}{
+		{"F64Array.LoadRange", func() { ax.LoadRange(sim, pcs[0], 0, 64, true, fbuf) }},
+		{"I32Array.LoadRange", func() { pix.LoadRange(sim, pcs[0], 0, 64, true, ibuf) }},
+		{"I32Array.LoadRow", func() { pix.LoadRow(sim, pcs, 64, 64, true, ibuf) }},
+		{"I32Array.StoreRange", func() { pix.StoreRange(sim, pcs[1], 128, ibuf) }},
+		{"GatherF64", func() { GatherF64(sim, arrays, pcs[:2], 7, true, fbuf[:2]) }},
+	}
+	for _, c := range cases {
+		if n := testing.AllocsPerRun(200, c.fn); n != 0 {
+			t.Errorf("%s: %v allocs/op, want 0", c.name, n)
+		}
+	}
+}
