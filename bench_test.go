@@ -7,8 +7,7 @@
 //
 // The repository benchmark is lvabench (bash lvabench/run.sh --workload W),
 // which regenerates groups of the paper's figures from explicit start
-// states. ./ci.sh overhead runs the two obs on/off pairs below and bounds
-// their ratios.
+// states.
 package lva_test
 
 import (
@@ -87,38 +86,6 @@ func BenchmarkSimulatorLoadMissCovered(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		// Fresh block every time: always a miss, always covered.
 		sim.LoadInt(0x400, uint64(0x200000+i*64), 10, true)
-	}
-}
-
-// Obs twins of the hot-path micro-benchmarks: same loop bodies with the
-// metrics registry enabled at construction. ci.sh's overhead check
-// compares each pair's disabled run against the seed and bounds the
-// enabled-path cost; the disabled originals above must stay within noise
-// of their pre-obs numbers because their fast paths carry no
-// instrumentation at all (nil seam pointer).
-
-func BenchmarkApproximatorOnMissObs(b *testing.B) {
-	lva.SetMetricsEnabled(true)
-	defer lva.SetMetricsEnabled(false)
-	cfg := lva.DefaultApproximatorConfig()
-	cfg.ValueDelay = 0
-	a := lva.NewApproximator(cfg)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a.OnMiss(uint64(0x400+i%32*4), lva.FloatValue(float64(i%100)))
-	}
-}
-
-func BenchmarkSimulatorLoadHitObs(b *testing.B) {
-	lva.SetMetricsEnabled(true)
-	defer lva.SetMetricsEnabled(false)
-	sim := lva.NewSimulator(lva.DefaultSimConfig())
-	sim.LoadFloat(0x400, 0x1000, 1, false) // warm the block
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sim.LoadFloat(0x400, 0x1000, 1, false)
 	}
 }
 

@@ -8,20 +8,16 @@
 #   lint   — go run ./cmd/lvalint ./...   (project invariants, see DESIGN.md)
 #   test   — go test ./...
 #   race   — go test -race ./...
+#   leftovers — test and race run with TMPDIR pointed at a fresh directory;
+#            any lva-grid-* trace store or lva-cli-* build directory left in
+#            it afterwards fails the gate
 #   bench module — go vet ./... && go test ./... inside lvabench/ (a nested
 #            module, so the root ./... never reaches it)
-#
-# `./ci.sh overhead` checks the observability layer's cost: it runs the
-# hot-path micro-benchmarks with the obs registry disabled and enabled and
-# bounds the on/off ratio. The disabled path carries no instrumentation at
-# all (nil seam pointer), so a blown bound means someone put work on the
-# wrong side of the seam.
 #
 # Wall time, CPU time and allocations are measured by the repository
 # benchmark, lvabench (`bash lvabench/run.sh --workload W`, see
 # lvabench/README.md), on a change and on its parent; the micro-benchmarks
-# in bench_test.go are developer tools and gate nothing beyond the overhead
-# check.
+# in bench_test.go are developer tools and gate nothing.
 #
 # Tier-1 (the minimum every PR must keep green) is build + test; the other
 # steps are the determinism/validation gate this repo's results depend on.
@@ -33,45 +29,10 @@ step() {
     "$@"
 }
 
-if [[ "${1:-}" == "overhead" ]]; then
-    echo "==> metrics overhead check (hot-path benchmarks, obs registry off vs on)"
-    out="$(go test -run '^$' -bench '^Benchmark(SimulatorLoadHit|ApproximatorOnMiss)(Obs)?$' -benchtime=2000000x -count=3 .)"
-    echo "${out}"
-    awk '
-        function check(base, bound,    on, off, ratio) {
-            off = best[base]; on = best[base "Obs"]
-            if (off == "" || on == "") {
-                printf "overhead: missing benchmark %s\n", base
-                return 1
-            }
-            ratio = on / off
-            printf "overhead: %s enabled/disabled = %.3f (bound %.2f)\n", base, ratio, bound
-            return ratio > bound ? 1 : 0
-        }
-        /^Benchmark/ {
-            name = $1; sub(/-[0-9]+$/, "", name)
-            ns = $3 + 0
-            if (!(name in best) || ns < best[name]) best[name] = ns
-        }
-        END {
-            status = 0
-            # The hit path never touches the seam, so on/off should be ~1;
-            # the bound only absorbs scheduler noise at ns scale.
-            if (check("BenchmarkSimulatorLoadHit", 1.30)) status = 1
-            # The miss path pays a few atomics and a bucket search per
-            # training when enabled.
-            if (check("BenchmarkApproximatorOnMiss", 2.50)) status = 1
-            exit status
-        }
-    ' <<<"${out}"
-    echo "ci.sh: metrics overhead within bounds"
-    exit 0
-fi
-
 # The full gate takes no arguments; refuse any (a retired `bench` mode
 # included) rather than quietly running the whole gate instead.
 if [[ $# -gt 0 ]]; then
-    echo "ci.sh: unknown mode '$1' (run ./ci.sh or ./ci.sh overhead)" >&2
+    echo "ci.sh: unknown argument '$1' (./ci.sh takes none)" >&2
     exit 2
 fi
 
@@ -96,11 +57,23 @@ fi
 lint_start=${SECONDS}
 step go run ./cmd/lvalint "${lint_flags[@]}" ./...
 echo "ci.sh: lvalint finished in $((SECONDS - lint_start))s"
-step go test ./...
+# The tests run with a private TMPDIR so that anything a test or a CLI it
+# drives leaves behind there can be seen: trace stores (lva-grid-*) and CLI
+# build directories (lva-cli-*) must be removed by whoever made them.
+test_tmp="$(mktemp -d)"
+step env TMPDIR="${test_tmp}" go test ./...
 # The race pass needs headroom past go test's default 10m per-package
 # timeout: single-core CI boxes run the experiment regenerations under the
 # detector's 5-10x slowdown.
-step go test -race -timeout 20m ./...
+step env TMPDIR="${test_tmp}" go test -race -timeout 20m ./...
+echo "==> leftovers in the tests' TMPDIR"
+leftovers="$(find "${test_tmp}" -mindepth 1 -maxdepth 1 \( -name 'lva-grid-*' -o -name 'lva-cli-*' \))"
+if [[ -n "${leftovers}" ]]; then
+    echo "ci.sh: tests left these behind in ${test_tmp}:" >&2
+    echo "${leftovers}" >&2
+    exit 1
+fi
+rm -rf "${test_tmp}"
 # lvabench has its own go.mod, so the root ./... above skips it; its tests
 # check the golden-cell, count-ledger and metric-table logic.
 (cd lvabench && step go vet ./... && step go test ./...)

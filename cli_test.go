@@ -11,6 +11,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"lva/internal/experiments"
 )
 
 // CLI integration tests: build the commands once and drive them end to end
@@ -21,13 +23,15 @@ var (
 	cliDir string
 )
 
-// TestMain removes the directory buildCLI built the commands into once
-// every test has run.
+// TestMain removes the directory buildCLI built the commands into, and the
+// per-process trace store of the figures this package runs in-process,
+// once every test has run.
 func TestMain(m *testing.M) {
 	code := m.Run()
 	if cliDir != "" {
 		os.RemoveAll(cliDir)
 	}
+	experiments.ResetRunCache()
 	os.Exit(code)
 }
 
@@ -330,6 +334,32 @@ func TestLvaexpMetricsSnapshotStable(t *testing.T) {
 	}
 	if _, volatile := counts["run_wall_seconds"]; volatile {
 		t.Error("deterministic snapshot leaked a volatile timing histogram")
+	}
+}
+
+// TestCLIsRemoveTheirTraceStore runs lvaexp and lvareport without
+// LVA_TRACE_DIR, so each records into a per-process trace store under
+// $TMPDIR, and requires that store to be gone once the process exits.
+func TestCLIsRemoveTheirTraceStore(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		args []string
+	}{
+		{"lvaexp", []string{"-v", "fig12"}},
+		{"lvareport", []string{"-only", "fig12"}},
+	} {
+		bin := buildCLI(t, c.name)
+		tmp := t.TempDir()
+		out, stderr, err := runCLIEnv(t, []string{"TMPDIR=" + tmp, "LVA_TRACE_DIR="}, bin, c.args...)
+		if err != nil {
+			t.Fatalf("%s: %v\n%s%s", c.name, err, out, stderr)
+		}
+		if c.name == "lvaexp" && !regexp.MustCompile(`grid traces: [1-9][0-9]* recorded`).MatchString(stderr) {
+			t.Fatalf("lvaexp recorded nothing, so the check proves nothing:\n%s", stderr)
+		}
+		if left, _ := filepath.Glob(filepath.Join(tmp, "lva-grid-*")); len(left) > 0 {
+			t.Errorf("%s left its trace store behind: %v", c.name, left)
+		}
 	}
 }
 

@@ -70,12 +70,7 @@ func main() {
 	attrF := create("attr", *attrOut)
 	manifestF := create("manifest", *manifestOut)
 
-	// -metrics implies full instrumentation: enable before any simulator is
-	// constructed so the hot-path seams wire up. -attr likewise enables the
-	// flight recorder before the first run.
-	if *metricsOut != "" || *pprofAddr != "" {
-		obs.SetEnabled(true)
-	}
+	// -attr enables the flight recorder before the first run.
 	if *attrOut != "" {
 		if *attrWindow != 0 {
 			attr.SetEpochWindow(*attrWindow)
@@ -103,12 +98,13 @@ func main() {
 
 	// All requested experiments run concurrently: points from different
 	// figures interleave through the shared gate, and the run cache
-	// simulates every shared design point exactly once.
+	// simulates every shared design point exactly once. From here on every
+	// exit goes through exit, which deletes the run's trace store.
 	start := time.Now()
 	figs, err := experiments.RunAll(ids...)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "lvaexp:", err)
-		os.Exit(2)
+		exit(2)
 	}
 	for _, fig := range figs {
 		switch *format {
@@ -120,7 +116,7 @@ func main() {
 			out, err := fig.JSON()
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "lvaexp:", err)
-				os.Exit(1)
+				exit(1)
 			}
 			fmt.Println(out)
 		case "chart":
@@ -132,8 +128,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "lvaexp: %d experiment(s) in %v; %d kernel simulation(s), %d run-cache hit(s) (%.1f%% dedup)\n",
 			len(figs), time.Since(start).Round(time.Millisecond), s.Simulated, s.Hits, 100*s.DedupFraction())
 		t := experiments.TraceCounters()
-		fmt.Fprintf(os.Stderr, "lvaexp: grid traces: %d recorded, %d point(s) footer-served, %d replayed in %d pass(es) (+%d memo hits), %d executed\n",
-			t.Recordings, t.HeaderHits, t.ReplayPoints, t.ReplayPasses, t.ReplayHits, t.ExecPoints)
+		fmt.Fprintf(os.Stderr, "lvaexp: grid traces: %d recorded (%d recaptured), %d point(s) footer-served, %d replayed in %d pass(es) (+%d memo hits), %d executed\n",
+			t.Recordings, t.Recaptures, t.HeaderHits, t.ReplayPoints, t.ReplayPasses, t.ReplayHits, t.ExecPoints)
 	}
 	if metricsF != nil {
 		b, err := obs.Default().Snapshot(false).JSON()
@@ -151,6 +147,17 @@ func main() {
 	if manifestF != nil {
 		finish(manifestF, "manifest", nil, experiments.WriteProvManifest(manifestF))
 	}
+	exit(0)
+}
+
+// exit ends a process whose experiments have started. Without
+// LVA_TRACE_DIR the run records into a per-process directory under
+// $TMPDIR; ResetRunCache deletes it (and leaves a named store alone), so
+// it does not outlive the process. Call it only after the outputs that
+// read the engine counters (-v, -manifest) are written.
+func exit(code int) {
+	experiments.ResetRunCache()
+	os.Exit(code)
 }
 
 // create opens the file an output flag names, or returns nil when the flag
@@ -179,6 +186,6 @@ func finish(f *os.File, what string, b []byte, err error) {
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "lvaexp: write %s: %v\n", what, err)
-		os.Exit(1)
+		exit(1)
 	}
 }

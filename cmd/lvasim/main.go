@@ -37,7 +37,6 @@ func main() {
 	flag.Parse()
 
 	if *pprof != "" {
-		obs.SetEnabled(true)
 		addr, err := obs.ServeDebug(*pprof)
 		if err != nil {
 			fail(err)

@@ -7,8 +7,6 @@ package cache
 import (
 	"fmt"
 	"math/bits"
-
-	"lva/internal/obs"
 )
 
 // Config describes a cache geometry.
@@ -98,8 +96,6 @@ type Cache struct {
 	// PrefetchHits counts demand accesses whose block was brought in by a
 	// prefetch (useful-prefetch accounting for Figure 8).
 	PrefetchHits uint64
-	// om is non-nil only when obs metrics were enabled at construction.
-	om *cacheMetrics
 }
 
 // New builds a cache for the given geometry; it panics on an invalid
@@ -109,7 +105,7 @@ func New(cfg Config) *Cache {
 		panic(err)
 	}
 	mask := uint64(cfg.Sets() - 1)
-	c := &Cache{
+	return &Cache{
 		cfg:        cfg,
 		tags:       make([]uint64, cfg.Sets()*cfg.Ways),
 		meta:       make([]meta, cfg.Sets()*cfg.Ways),
@@ -118,10 +114,6 @@ func New(cfg Config) *Cache {
 		setBits:    uint(bits.OnesCount64(mask)),
 		blockShift: uint(bits.TrailingZeros64(uint64(cfg.BlockBytes))),
 	}
-	if obs.Enabled() {
-		c.om = sharedCacheMetrics()
-	}
-	return c
 }
 
 // Config returns the cache geometry.
@@ -282,12 +274,6 @@ func (c *Cache) fill(set uint64, w []uint64, base int, key uint64, prefetched bo
 		if mw[victim].flags&flagDirty != 0 {
 			c.stats.Writebacks++
 			wasDirty = true
-		}
-		if m := c.om; m != nil {
-			m.evictions.Inc()
-			if wasDirty {
-				m.writebacks.Inc()
-			}
 		}
 		evicted = c.rebuild(set, w[victim]>>1)
 		wasValid = true

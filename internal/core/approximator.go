@@ -1,7 +1,6 @@
 package core
 
 import (
-	"lva/internal/obs"
 	"lva/internal/obs/attr"
 	"lva/internal/value"
 )
@@ -91,8 +90,6 @@ type Approximator struct {
 	pendCount int
 	loadTick  uint64 // loads issued so far (OnLoad calls)
 	stats     Stats
-	// om is non-nil only when obs metrics were enabled at construction.
-	om *coreMetrics
 	// at is non-nil only when a flight recorder was attached for this run;
 	// the hooks fire on training commits, never on the load fast path.
 	at *attr.Recorder
@@ -118,9 +115,6 @@ func New(cfg Config) *Approximator {
 	}
 	if cfg.GHBSize > 0 {
 		a.ghb = make([]value.Value, cfg.GHBSize)
-	}
-	if obs.Enabled() {
-		a.om = sharedCoreMetrics()
 	}
 	return a
 }
@@ -325,9 +319,6 @@ func (a *Approximator) Drain() {
 // whether X_approx fell within the relaxed confidence window.
 func (a *Approximator) commitTrain(t pendingTrain) {
 	a.stats.Trainings++
-	if m := a.om; m != nil {
-		m.trainings.Inc()
-	}
 	stored := value.Truncate(t.actual, a.cfg.MantissaLoss)
 
 	// GHB push (all trained values, global across entries).
@@ -379,27 +370,14 @@ func (a *Approximator) commitTrain(t pendingTrain) {
 		return
 	}
 	before := e.conf
-	// The relative error feeds both observability seams; compute it once
-	// and only when at least one of them is wired.
-	relErr := 0.0
-	if a.om != nil || a.at != nil {
-		relErr = value.RelDiff(t.approx.Float(), t.actual.Float())
-	}
 	if value.WithinWindow(t.approx, t.actual, a.cfg.Window) {
 		a.stats.ConfAccepts++
 		if e.conf < a.cfg.ConfMax() {
 			e.conf++
 		}
-		gained := before < 0 && e.conf >= 0
-		if m := a.om; m != nil {
-			m.confAccepts.Inc()
-			if gained {
-				m.confGained.Inc()
-			}
-			m.relErr.Observe(relErr)
-		}
 		if at := a.at; at != nil {
-			at.Train(t.pc, true, true, gained, false, relErr)
+			relErr := value.RelDiff(t.approx.Float(), t.actual.Float())
+			at.Train(t.pc, true, true, before < 0 && e.conf >= 0, false, relErr)
 		}
 		return
 	}
@@ -415,16 +393,9 @@ func (a *Approximator) commitTrain(t pendingTrain) {
 	if e.conf < a.cfg.ConfMin() {
 		e.conf = a.cfg.ConfMin()
 	}
-	lost := before >= 0 && e.conf < 0
-	if m := a.om; m != nil {
-		m.confRejects.Inc()
-		if lost {
-			m.confLost.Inc()
-		}
-		m.relErr.Observe(relErr)
-	}
 	if at := a.at; at != nil {
-		at.Train(t.pc, true, false, false, lost, relErr)
+		relErr := value.RelDiff(t.approx.Float(), t.actual.Float())
+		at.Train(t.pc, true, false, false, before >= 0 && e.conf < 0, relErr)
 	}
 }
 

@@ -267,7 +267,11 @@ func serveReplay(fig string, group []*ctrReq, queued time.Duration) {
 	for i, r := range group {
 		res := sims[i].Result()
 		*r.out = res
-		memoPut(memoReplay, r.dp, res)
+		// Publish once per memo cell: a racing pass that stored the point
+		// first has published it already.
+		if memoPut(memoReplay, r.dp, res) {
+			eng().publish(res)
+		}
 		observed[i].publish()
 		traceStats.replayPoints.Add(1)
 		pc.point(fig, r.label, "ctr", prov.RouteReplay, prov.CounterReplayed,

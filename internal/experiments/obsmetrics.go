@@ -3,14 +3,15 @@ package experiments
 import (
 	"sync"
 
+	"lva/internal/memsim"
 	"lva/internal/obs"
 )
 
-// engMetrics holds the experiment engine's metrics. Unlike the hot-path
-// seams in memsim/cache/core these are always on: they fire once per
-// kernel simulation or scheduler transition, so their cost is a handful of
-// atomics against milliseconds of simulation, and keeping them live means
-// RunCacheCounters and the progress reporters work without any opt-in.
+// engMetrics holds the experiment engine's metrics. They are always on:
+// they fire once per kernel simulation or scheduler transition, so their
+// cost is a handful of atomics against milliseconds of simulation, and
+// keeping them live means RunCacheCounters and the progress reporters work
+// without any opt-in.
 type engMetrics struct {
 	cacheHits    *obs.Counter
 	cacheSims    *obs.Counter
@@ -21,6 +22,17 @@ type engMetrics struct {
 	runWall      *obs.Histogram
 	figuresDone  *obs.Counter
 	sweepPoints  *obs.Counter
+
+	// Phase-1 simulator events, summed over the Result of every executed
+	// or replayed design point (see publish).
+	loadMisses  *obs.Counter
+	covered     *obs.Counter
+	fetches     *obs.Counter
+	evictions   *obs.Counter
+	writebacks  *obs.Counter
+	trainings   *obs.Counter
+	confAccepts *obs.Counter
+	confRejects *obs.Counter
 }
 
 // eng lazily registers the engine metrics exactly once. The timing
@@ -38,5 +50,29 @@ var eng = sync.OnceValue(func() *engMetrics {
 		runWall:      r.Histogram("run_wall_seconds", "wall time of each executed kernel simulation", obs.TimeBuckets, true),
 		figuresDone:  r.Counter("figures_done", "experiment drivers completed"),
 		sweepPoints:  r.Counter("sweep_points_done", "sweep design points completed"),
+
+		loadMisses:  r.Counter("memsim_load_misses", "L1 load misses summed over executed and replayed phase-1 points"),
+		covered:     r.Counter("memsim_approximations", "L1 load misses covered by an approximation or prediction, summed over phase-1 points"),
+		fetches:     r.Counter("memsim_fetches", "blocks fetched into the L1 (demand + prefetch + store allocate), summed over phase-1 points"),
+		evictions:   r.Counter("cache_evictions", "valid L1 blocks evicted, summed over phase-1 points"),
+		writebacks:  r.Counter("cache_writebacks", "dirty L1 evictions, summed over phase-1 points"),
+		trainings:   r.Counter("core_trainings", "approximator training commits, summed over phase-1 points"),
+		confAccepts: r.Counter("core_conf_accepts", "trainings whose approximation fell inside the confidence window, summed over phase-1 points"),
+		confRejects: r.Counter("core_conf_rejects", "trainings whose approximation fell outside the confidence window, summed over phase-1 points"),
 	}
 })
+
+// publish adds one phase-1 run's simulator events to the registry. The
+// engine calls it once per design point it executes (cachedRun) or
+// replays (serveReplay); footer-served points, memo hits and stream
+// recaptures simulate nothing new and publish nothing.
+func (m *engMetrics) publish(r memsim.Result) {
+	m.loadMisses.Add(r.LoadMisses)
+	m.covered.Add(r.Covered)
+	m.fetches.Add(r.Fetches)
+	m.evictions.Add(r.Cache.Evictions)
+	m.writebacks.Add(r.Cache.Writebacks)
+	m.trainings.Add(r.Approx.Trainings)
+	m.confAccepts.Add(r.Approx.ConfAccepts)
+	m.confRejects.Add(r.Approx.ConfRejects)
+}

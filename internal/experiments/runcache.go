@@ -138,17 +138,19 @@ func memoPeek[T any](kind memoKind, dp designPoint) (v T, ok bool) {
 	return c.(*memoCell).v.(T), true
 }
 
-// memoPut stores v for (kind, dp); see memoPeek.
-func memoPut(kind memoKind, dp designPoint, v any) {
-	memo.Load().Store(memoKey{kind, dp.key()}, &memoCell{done: setDone, v: v})
+// memoPut stores v for (kind, dp) and reports whether this call stored it:
+// of two racing passes, the first keeps its (equal) value; see memoPeek.
+func memoPut(kind memoKind, dp designPoint, v any) bool {
+	_, loaded := memo.Load().LoadOrStore(memoKey{kind, dp.key()}, &memoCell{done: setDone, v: v})
+	return !loaded
 }
 
 // cachedRun returns the memoized phase-1 run of dp, simulating it with sim
 // at most once per process. Executed simulations become spans on the run
 // timeline's kernel-simulation lanes, memo hits become instants. Counters
-// live on the obs registry (one counter surface for lva.go, lvaexp -v and
-// -metrics alike); the wall-time histogram is volatile and only wraps
-// simulations that actually execute.
+// live on the obs registry (one counter surface for lvaexp -v and -metrics
+// alike); the wall-time histogram is volatile, and it and the simulator
+// event sums only count simulations that actually execute.
 func cachedRun(dp designPoint, sim func() RunResult) RunResult {
 	m := eng()
 	m.cacheLookups.Inc()
@@ -157,6 +159,7 @@ func cachedRun(dp designPoint, sim func() RunResult) RunResult {
 		start := time.Now()
 		r := sim()
 		m.runWall.Observe(time.Since(start).Seconds())
+		m.publish(r.Sim)
 		if tl != nil {
 			tl.span(tlPidSims, tl.nextSimTid(), "sim "+dp.label(), "sim", start,
 				map[string]any{"cache": "miss"})

@@ -46,6 +46,12 @@ type TraceStats struct {
 	// (each distinct (kind, workload, seed) records at most once per
 	// process; a warm on-disk store records zero).
 	Recordings uint64
+	// Recaptures is the subset of Recordings that took a second kernel
+	// execution: the point's run-cache cell was already filled by a plain
+	// Run* call, so the recording could not ride that simulation. A
+	// recapture is not a run-cache simulation and publishes no simulator
+	// events, so neither depends on which figure reached the point first.
+	Recaptures uint64
 	// HeaderHits counts design points served straight from a recorded
 	// stream's footer counters, with no simulation at all.
 	HeaderHits uint64
@@ -66,6 +72,7 @@ type TraceStats struct {
 
 var traceStats struct {
 	recordings   atomic.Uint64
+	recaptures   atomic.Uint64
 	headerHits   atomic.Uint64
 	replayPasses atomic.Uint64
 	replayPoints atomic.Uint64
@@ -77,6 +84,7 @@ var traceStats struct {
 func TraceCounters() TraceStats {
 	return TraceStats{
 		Recordings:   traceStats.recordings.Load(),
+		Recaptures:   traceStats.recaptures.Load(),
 		HeaderHits:   traceStats.headerHits.Load(),
 		ReplayPasses: traceStats.replayPasses.Load(),
 		ReplayPoints: traceStats.replayPoints.Load(),
@@ -148,6 +156,7 @@ func resetTraceStore() {
 	}
 	traceDirState.mu.Unlock()
 	traceStats.recordings.Store(0)
+	traceStats.recaptures.Store(0)
 	traceStats.headerHits.Store(0)
 	traceStats.replayPasses.Store(0)
 	traceStats.replayPoints.Store(0)
@@ -226,10 +235,11 @@ func ensureStream(dp designPoint) *gridStream {
 			// The run cell was already filled by a plain Run* call (an
 			// error figure got to this design point first), so the
 			// singleflight closure never ran. Capture directly: one extra
-			// kernel execution, at most once per stream and process.
+			// kernel execution, at most once per stream and process,
+			// counted as a recapture (see TraceStats.Recaptures).
 			if _, hdr, err := recordStream(dp, path); err == nil {
 				st.path, st.hdr = path, hdr
-				eng().cacheSims.Inc()
+				traceStats.recaptures.Add(1)
 				recorded = true
 			}
 		}

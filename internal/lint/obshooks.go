@@ -7,16 +7,17 @@ import (
 	"strings"
 )
 
-// obshooksAnalyzer guards the observability seams of the simulator hot
-// paths. The packages on the per-load/per-miss path (memsim, cache, core)
-// must stay deterministic and zero-overhead-when-off, so inside them:
+// obshooksAnalyzer guards how the simulator hot paths are observed. The
+// packages on the per-load/per-miss path (memsim, cache, core) must stay
+// deterministic and carry no observation cost of their own, so inside them:
 //
 //   - time.Now is forbidden: wall-clock reads do not belong on a simulated
 //     path (timing metrics live in the experiment engine's volatile
 //     histograms), and a stray one is usually a debugging leftover.
-//   - mutating a package-level variable is forbidden: shared counters must
-//     go through the lva/internal/obs registry (atomic, race-safe under
-//     the cross-figure scheduler), not ad-hoc globals.
+//   - mutating a package-level variable is forbidden: a simulator counts
+//     its events in its own Stats, which the experiment engine publishes
+//     to the lva/internal/obs registry once per run; an ad-hoc global
+//     races under the cross-figure scheduler.
 //
 // The attribution flight recorder (lva/internal/obs/attr) is itself wired
 // into the annotated-load path through a nil-pointer seam, so it obeys the
@@ -27,7 +28,7 @@ import (
 // Test files are exempt, as is anything acknowledged with //lint:ignore.
 var obshooksAnalyzer = &Analyzer{
 	Name: "obshooks",
-	Doc:  "forbid time.Now and package-level counter mutation in simulator hot-path packages; use the obs registry seams",
+	Doc:  "forbid time.Now and package-level counter mutation in simulator hot-path packages; count events in per-simulator Stats",
 	Run:  runObshooks,
 }
 
@@ -106,5 +107,5 @@ func reportGlobalMutation(p *Pass, pos token.Pos, e ast.Expr) {
 	if !ok || v.Parent() != p.Pkg.Types.Scope() {
 		return
 	}
-	p.Reportf(pos, "mutation of package-level %s in a hot-path package: shared counters must go through the lva/internal/obs registry seam", v.Name())
+	p.Reportf(pos, "mutation of package-level %s in a hot-path package: count events in the simulator's own Stats, which the experiment engine publishes to the obs registry once per run", v.Name())
 }

@@ -5,7 +5,6 @@ import (
 	"io"
 	"testing"
 
-	"lva/internal/obs"
 	"lva/internal/prefetch"
 	"lva/internal/trace"
 )
@@ -24,31 +23,15 @@ func assertZeroAllocs(t *testing.T, name string, fn func()) {
 }
 
 func TestPerLoadPathsAllocateNothing(t *testing.T) {
-	perLoadPathsAllocateNothing(t, New)
-	// With metrics on, every miss also bumps the seam's miss and fetch
-	// counters and the approximator's training counters and error
-	// histogram; those must stay off the heap too.
-	t.Run("metrics on", func(t *testing.T) {
-		perLoadPathsAllocateNothing(t, func(cfg Config) *Sim {
-			obs.SetEnabled(true)
-			defer obs.SetEnabled(false)
-			return New(cfg)
-		})
-	})
-}
-
-// perLoadPathsAllocateNothing runs every per-load path's allocation check
-// on simulators built by newSim.
-func perLoadPathsAllocateNothing(t *testing.T, newSim func(Config) *Sim) {
 	t.Run("load hit", func(t *testing.T) {
-		sim := newSim(DefaultConfig())
+		sim := New(DefaultConfig())
 		sim.LoadFloat(0x400, 0x1000, 1, false) // warm the block
 		assertZeroAllocs(t, "float hit", func() { sim.LoadFloat(0x400, 0x1000, 1, false) })
 		assertZeroAllocs(t, "int hit", func() { sim.LoadInt(0x404, 0x1008, 2, true) })
 	})
 
 	t.Run("store hit and miss", func(t *testing.T) {
-		sim := newSim(DefaultConfig())
+		sim := New(DefaultConfig())
 		sim.Store(0x400, 0x1000)
 		addr := uint64(0x100000)
 		assertZeroAllocs(t, "store hit", func() { sim.Store(0x400, 0x1000) })
@@ -58,7 +41,7 @@ func perLoadPathsAllocateNothing(t *testing.T, newSim func(Config) *Sim) {
 	t.Run("covered miss delay-0", func(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.Approx.ValueDelay = 0
-		sim := newSim(cfg)
+		sim := New(cfg)
 		// Warm the approximator table for a handful of static PCs so the
 		// steady state retrains existing entries (LHB backing reused).
 		for i := 0; i < 256; i++ {
@@ -76,7 +59,7 @@ func perLoadPathsAllocateNothing(t *testing.T, newSim func(Config) *Sim) {
 	t.Run("delayed training steady state", func(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.Approx.ValueDelay = 4
-		sim := newSim(cfg)
+		sim := New(cfg)
 		for i := 0; i < 256; i++ {
 			sim.LoadInt(uint64(0x400+i%8*4), uint64(0x100000+i*64), 10, true)
 		}
@@ -103,7 +86,7 @@ func perLoadPathsAllocateNothing(t *testing.T, newSim func(Config) *Sim) {
 			cfg.Attach = AttachPrefetch
 			cfg.Prefetch = prefetch.DefaultConfig()
 			cfg.Prefetch.Degree = degree
-			sim := newSim(cfg)
+			sim := New(cfg)
 			x := uint64(1)
 			addr := func() uint64 {
 				x = x*6364136223846793005 + 1442695040888963407
@@ -127,7 +110,7 @@ func perLoadPathsAllocateNothing(t *testing.T, newSim func(Config) *Sim) {
 		// Each measured call records one full 4096-access chunk of hits, so
 		// every run crosses a chunk boundary and pays for one flush.
 		const chunk = 4096
-		sim := newSim(DefaultConfig())
+		sim := New(DefaultConfig())
 		gw := trace.NewGridWriter(io.Discard, "alloc-test", "k", 1)
 		sim.SetGridCapture(gw)
 		sim.LoadFloat(0x400, 0x1000, 1, false)

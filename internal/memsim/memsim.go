@@ -13,7 +13,6 @@ import (
 
 	"lva/internal/cache"
 	"lva/internal/core"
-	"lva/internal/obs"
 	"lva/internal/obs/attr"
 	"lva/internal/prefetch"
 	"lva/internal/trace"
@@ -147,9 +146,6 @@ type Sim struct {
 	lastApproxPC uint64
 	lastPCValid  bool
 
-	// om is non-nil only when obs metrics were enabled at construction;
-	// the load-hit fast path never touches it.
-	om *simMetrics
 	// at is non-nil only when a flight recorder was attached for this run.
 	// Its hooks live inside the annotated-load branch, so the plain
 	// (approx=false) hit path never tests it.
@@ -174,9 +170,6 @@ func New(cfg Config) *Sim {
 	s := &Sim{
 		cfg: cfg,
 		l1:  cache.New(cfg.L1),
-	}
-	if obs.Enabled() {
-		s.om = sharedSimMetrics()
 	}
 	switch cfg.Attach {
 	case AttachLVA:
@@ -259,9 +252,6 @@ func (s *Sim) load(pc, addr uint64, precise value.Value, approx bool) value.Valu
 		return precise
 	}
 	s.loadMiss++
-	if m := s.om; m != nil {
-		m.misses.Inc()
-	}
 
 	if approx && s.approx != nil {
 		d := s.approx.OnMiss(pc, precise)
@@ -271,15 +261,9 @@ func (s *Sim) load(pc, addr uint64, precise value.Value, approx bool) value.Valu
 		if d.Fetch {
 			s.fetches++
 			s.l1.FillAbsent(addr, false)
-			if m := s.om; m != nil {
-				m.fetches.Inc()
-			}
 		}
 		if d.Approximated {
 			s.covered++
-			if m := s.om; m != nil {
-				m.approx.Inc()
-			}
 			if s.cfg.Attach == AttachLVP {
 				// An idealized correct prediction equals the precise
 				// value; incorrect predictions roll back and re-execute,
@@ -299,7 +283,6 @@ func (s *Sim) load(pc, addr uint64, precise value.Value, approx bool) value.Valu
 			at.Miss(pc, false, true)
 		}
 	}
-	before := s.fetches
 	s.fetches++
 	s.l1.FillAbsent(addr, false)
 	if s.pref != nil {
@@ -309,11 +292,6 @@ func (s *Sim) load(pc, addr uint64, precise value.Value, approx bool) value.Valu
 				s.l1.FillAbsent(t, true)
 			}
 		}
-	}
-	if m := s.om; m != nil {
-		// Demand fetch plus whatever the prefetcher pulled in, derived from
-		// the running total so the loop above stays metric-free.
-		m.fetches.Add(s.fetches - before)
 	}
 	return precise
 }
@@ -344,9 +322,6 @@ func (s *Sim) Store(pc, addr uint64) {
 	s.fetches++
 	s.l1.FillAbsent(addr, false)
 	s.l1.MarkDirty(addr)
-	if m := s.om; m != nil {
-		m.fetches.Inc()
-	}
 }
 
 // Result finalizes (drains pending trainings) and returns the metrics.

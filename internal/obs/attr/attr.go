@@ -4,15 +4,14 @@
 // rejections happen process-wide, attr records *which load sites* cause the
 // error and *when* during a run the approximator drifts.
 //
-// The wiring follows the same zero-overhead-when-off convention as the obs
-// metric seams: a Recorder is attached to a simulator only when
-// SetEnabled(true) ran before the run was set up, the hot structs hold a
-// nil-able pointer, and the per-access hooks are a single nil check when
-// attribution is off. The plain (non-annotated) load-hit path is never
-// touched — only annotated loads and their miss/training machinery report
-// here, and a Recorder belongs to exactly one single-threaded simulation,
-// so the hot methods take no locks and the float accumulators are
-// deterministic.
+// A Recorder is the only per-access observer of the simulators: it is
+// attached to a simulator only when SetEnabled(true) ran before the run was
+// set up, the hot structs hold a nil-able pointer, and the per-access hooks
+// are a single nil check when attribution is off. The plain (non-annotated)
+// load-hit path is never touched — only annotated loads and their
+// miss/training machinery report here, and a Recorder belongs to exactly
+// one single-threaded simulation, so the hot methods take no locks and the
+// float accumulators are deterministic.
 //
 // This package sits on the simulator hot path, so the lvalint obshooks and
 // hotpath analyzers apply: no time.Now, no fmt, no package-level mutation,
@@ -24,8 +23,8 @@ import (
 	"sync/atomic"
 )
 
-// enabled gates attribution the same way obs.SetEnabled gates metrics: it
-// is consulted when a run is wired up, not per access.
+// enabled gates attribution: it is consulted when a run is wired up, not
+// per access.
 var enabled atomic.Bool
 
 // SetEnabled turns attribution on or off for subsequently wired runs.

@@ -2,26 +2,21 @@
 // registry (atomic counters, gauges, fixed-bucket histograms), structured
 // event hooks, and debug exposition (expvar + net/http/pprof).
 //
-// Two properties shape the design:
+// Nothing on the per-load path counts into it. The simulators keep their
+// events in their own Stats (memsim.Result carries cache.Stats and
+// core.Stats), and the experiment engine (internal/experiments) adds each
+// executed or replayed design point's Result to the registry once, beside
+// its coarse per-run events: run-cache hits, scheduler occupancy, figure
+// progress. That costs a few atomic operations per kernel simulation, so
+// the registry is always on.
 //
-//   - Zero overhead when off. Hot-path packages (memsim, cache, core) wire
-//     their metric structs only when SetEnabled(true) was called before the
-//     simulator was constructed; otherwise the struct pointer stays nil and
-//     the per-event cost is a single pointer load and branch. Every metric
-//     method is additionally nil-receiver-safe and allocation-free, so a
-//     disabled path never allocates and never takes a lock.
-//
-//   - Determinism. All metrics are integer event counts (histograms count
-//     observations into fixed buckets; no floating-point sums are
-//     accumulated), so totals are independent of goroutine interleaving.
-//     Metrics whose *values* depend on wall-clock timing (queue waits, run
-//     wall times) are registered as volatile and excluded from the
-//     deterministic snapshot; see Registry.Snapshot.
-//
-// The experiment engine (internal/experiments) always counts its coarse
-// per-run events — run-cache hits, scheduler occupancy, figure progress —
-// because they cost a few atomic operations per kernel simulation. Only
-// per-load/per-miss instrumentation is gated by Enabled.
+// All metrics are integer event counts (histograms count observations into
+// fixed buckets; no floating-point sums are accumulated), so totals are
+// independent of goroutine interleaving. Metrics whose *values* depend on
+// wall-clock timing (queue waits, run wall times) are registered as
+// volatile and excluded from the deterministic snapshot; see
+// Registry.Snapshot. Every metric method is nil-receiver-safe and
+// allocation-free.
 package obs
 
 import (
@@ -30,22 +25,9 @@ import (
 	"sync/atomic"
 )
 
-// enabled gates hot-path metric collection: simulator constructors consult
-// it once at build time (see package comment).
-var enabled atomic.Bool
-
-// SetEnabled toggles hot-path metric collection. It must be called before
-// the simulators whose events should be counted are constructed; already
-// built simulators keep the setting they were created with. The experiment
-// engine's coarse per-run metrics count regardless.
-func SetEnabled(on bool) { enabled.Store(on) }
-
-// Enabled reports whether hot-path metric collection is on.
-func Enabled() bool { return enabled.Load() }
-
 // Counter is a monotonically increasing, race-safe event counter. The zero
 // value is ready to use; all methods are safe on a nil receiver (no-ops
-// reading zero), which is how disabled instrumentation costs nothing.
+// reading zero).
 type Counter struct{ v atomic.Uint64 }
 
 // Inc adds one.
@@ -214,11 +196,6 @@ func (h *Histogram) Reset() {
 // TimeBuckets are the default duration buckets (seconds) for wall-clock
 // histograms: 0.5 ms to 60 s on a coarse log scale.
 var TimeBuckets = []float64{0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30, 60}
-
-// ErrorBuckets are the default buckets for relative-error histograms: an
-// exact bucket (0) plus log-spaced fractions up to 1; larger errors (and
-// the +Inf of a missed zero) land in the overflow bucket.
-var ErrorBuckets = []float64{0, 1e-6, 1e-4, 1e-3, 0.01, 0.05, 0.1, 0.2, 0.5, 1}
 
 // metric kinds.
 const (

@@ -16,8 +16,8 @@
 //     approximation degree, plus the idealized LVP baseline.
 //   - Simulator (memsim): the phase-1, Pin-like execution-driven
 //     memory-hierarchy model that workloads issue loads/stores through.
-//   - System (fullsys): the phase-2 cycle-approximate 4-core model with a
-//     mesh NoC, MSI-coherent distributed L2 and an energy model.
+//   - RunFullSystem (fullsys): the phase-2 cycle-approximate 4-core model
+//     with a mesh NoC, MSI-coherent distributed L2 and an energy model.
 //   - Workloads: seven PARSEC-stand-in kernels with the paper's
 //     per-benchmark output-error metrics.
 //   - Experiments: one driver per table/figure of the paper's evaluation.
@@ -33,16 +33,12 @@
 package lva
 
 import (
-	"io"
-
 	"lva/internal/core"
 	"lva/internal/experiments"
 	"lva/internal/fullsys"
 	"lva/internal/isa"
 	"lva/internal/memsim"
 	"lva/internal/obs"
-	"lva/internal/obs/attr"
-	"lva/internal/obs/prov"
 	"lva/internal/prefetch"
 	"lva/internal/value"
 	"lva/internal/workloads"
@@ -117,17 +113,11 @@ const (
 // PrefetcherConfig configures the GHB prefetcher baseline (§VI-D).
 type PrefetcherConfig = prefetch.Config
 
-// System is the phase-2 cycle-approximate full-system simulator.
-type System = fullsys.Sim
-
 // SystemConfig configures the full system (paper Table II).
 type SystemConfig = fullsys.Config
 
 // SystemResult carries phase-2 metrics (cycles, traffic, energy).
 type SystemResult = fullsys.Result
-
-// NewSystem builds a full-system simulator.
-func NewSystem(cfg SystemConfig) *System { return fullsys.New(cfg) }
 
 // DefaultSystemConfig returns the paper's Table II full-system setup.
 func DefaultSystemConfig() SystemConfig { return fullsys.DefaultConfig() }
@@ -174,17 +164,8 @@ func NewBodytrack() *workloads.Bodytrack { return workloads.NewBodytrack() }
 // NewCanneal returns the canneal kernel with calibrated defaults.
 func NewCanneal() *workloads.Canneal { return workloads.NewCanneal() }
 
-// NewFerret returns the ferret kernel with calibrated defaults.
-func NewFerret() *workloads.Ferret { return workloads.NewFerret() }
-
-// NewFluidanimate returns the fluidanimate kernel with calibrated defaults.
-func NewFluidanimate() *workloads.Fluidanimate { return workloads.NewFluidanimate() }
-
 // NewSwaptions returns the swaptions kernel with calibrated defaults.
 func NewSwaptions() *workloads.Swaptions { return workloads.NewSwaptions() }
-
-// NewX264 returns the x264 kernel with calibrated defaults.
-func NewX264() *workloads.X264 { return workloads.NewX264() }
 
 // Figure is the structured result of one reproduced table/figure.
 type Figure = experiments.Figure
@@ -201,54 +182,9 @@ func RunExperiment(id string) (*Figure, bool) {
 	return d(), true
 }
 
-// RunAll regenerates the named experiments ("all" of them when ids is
-// empty) concurrently through the shared run cache: every driver admits
-// its simulation points through one Parallelism-bounded gate and each
-// distinct design point is simulated exactly once per process.
-func RunAll(ids ...string) ([]*Figure, error) { return experiments.RunAll(ids...) }
-
-// RunCacheStats is a snapshot of the process-wide run-cache counters.
-type RunCacheStats = experiments.RunCacheStats
-
-// RunCacheCounters reports how many simulations the run cache executed and
-// how many Run* calls it satisfied from memory.
-func RunCacheCounters() RunCacheStats { return experiments.RunCacheCounters() }
-
-// ResetRunCache drops every memoized simulation result and zeroes the
-// counters, restoring process-cold behaviour (for tests and benchmarks).
-func ResetRunCache() { experiments.ResetRunCache() }
-
-// TraceStats is a snapshot of the grid-trace store counters: streams
-// recorded, design points served from recorded footers, replay passes and
-// points, and counter points that still executed the kernel.
-type TraceStats = experiments.TraceStats
-
-// TraceCounters reports how the record-once trace store served the counter
-// figures' design points.
-func TraceCounters() TraceStats { return experiments.TraceCounters() }
-
-// SetReplayEnabled toggles the record-once/replay-many grid pipeline for
-// counter figures. Enabled by default; disabled, every design point
-// executes its kernel exactly as before the trace store existed.
-func SetReplayEnabled(on bool) { experiments.SetReplayEnabled(on) }
-
-// SetTraceDir routes grid-stream recordings to dir until the next call
-// (empty restores the default per-process temp directory). Recordings
-// found there are trusted and served without re-simulating, so pointing
-// successive processes at one directory — or setting LVA_TRACE_DIR —
-// makes every counter figure warm-start.
-func SetTraceDir(dir string) { experiments.SetTraceDir(dir) }
-
 // MetricsSnapshot is a frozen, name-sorted view of the observability
 // registry (see internal/obs).
 type MetricsSnapshot = obs.Snapshot
-
-// SetMetricsEnabled toggles hot-path metric collection (per-miss counters
-// in the simulator, per-training error histograms in the approximator).
-// Call it before constructing simulators or running experiments; the
-// engine's coarse per-run metrics are always collected. Off by default so
-// the simulator hot paths carry zero instrumentation cost.
-func SetMetricsEnabled(on bool) { obs.SetEnabled(on) }
 
 // Metrics snapshots the process-wide observability registry.
 // includeVolatile also captures wall-clock timing histograms, whose values
@@ -256,69 +192,6 @@ func SetMetricsEnabled(on bool) { obs.SetEnabled(on) }
 func Metrics(includeVolatile bool) MetricsSnapshot {
 	return obs.Default().Snapshot(includeVolatile)
 }
-
-// AttributionSnapshot is a frozen view of the approximation flight
-// recorder: per-PC error attribution and per-epoch time-series for every
-// approximate run published since the last reset (see internal/obs/attr).
-type AttributionSnapshot = attr.Snapshot
-
-// SetAttributionEnabled toggles the approximation flight recorder. When
-// on, every approximate/LVP/prefetch run records per-site (per-PC) load,
-// miss, coverage and training-error counters plus an epoch time-series,
-// published under a deterministic scope per design point. Call it before
-// running experiments; off by default so annotated-load paths stay
-// allocation-free.
-func SetAttributionEnabled(on bool) { attr.SetEnabled(on) }
-
-// SetAttributionEpochWindow sets how many annotated loads make one
-// time-series epoch (n <= 0 disables the time-series, keeping per-site
-// attribution only). Takes effect for recorders created afterwards.
-func SetAttributionEpochWindow(n int) { attr.SetEpochWindow(n) }
-
-// Attribution snapshots every published run attribution, sorted by scope.
-func Attribution() AttributionSnapshot { return attr.TakeSnapshot() }
-
-// ResetAttribution drops every published run attribution.
-func ResetAttribution() { attr.Reset() }
-
-// ProvenanceManifest is a parsed run-provenance manifest (see
-// internal/obs/prov): per-evaluation records of which route produced each
-// design-point result and why, reconciled against the engine counters.
-type ProvenanceManifest = prov.Manifest
-
-// EnableProvenance starts recording run provenance: every design-point
-// evaluation (run-cache lookup, footer read, grid replay, kernel
-// execution, phase-2 stream) emits a deterministic record of its route,
-// justification and source artifact. Call before the first run; off by
-// default with a zero-cost disabled path.
-func EnableProvenance() { experiments.EnableProvenance() }
-
-// DisableProvenance ends the provenance session.
-func DisableProvenance() { experiments.DisableProvenance() }
-
-// WriteProvenanceManifest renders the active provenance ledger as a
-// byte-stable NDJSON manifest reconciled against the engine counters
-// (the `lvaexp -manifest` document; audit it with `lvareport
-// -provenance`).
-func WriteProvenanceManifest(w io.Writer) error { return experiments.WriteProvManifest(w) }
-
-// ReadProvenanceManifest parses an NDJSON provenance manifest; call
-// Validate on the result to reconcile it.
-func ReadProvenanceManifest(r io.Reader) (*ProvenanceManifest, error) {
-	return prov.ReadManifest(r)
-}
-
-// StartTimeline begins capturing a Chrome trace-event run timeline of the
-// experiment engine (figure drivers, gate workers, kernel simulations and
-// run-cache hits). Render the TimelineJSON output at ui.perfetto.dev.
-func StartTimeline() { experiments.StartTimeline() }
-
-// TimelineJSON returns the events captured so far as Chrome trace-event
-// JSON; it errors when no capture is running.
-func TimelineJSON() ([]byte, error) { return experiments.TimelineJSON() }
-
-// StopTimeline ends the timeline capture session.
-func StopTimeline() { experiments.StopTimeline() }
 
 // RunFullSystem records a workload's precise 4-thread access stream in
 // memory and replays it through the phase-2 full-system model under cfg.
