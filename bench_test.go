@@ -136,7 +136,7 @@ func BenchmarkGridRecord(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		gw := trace.NewGridWriter(io.Discard, w.Name(), "bench", experiments.DefaultSeed)
 		sim := memsim.New(cfg)
-		sim.SetGridCapture(gw)
+		sim.SetCapture(gw)
 		w.Run(sim, experiments.DefaultSeed)
 		if _, err := gw.Finish(sim.Result().Instructions, nil); err != nil {
 			b.Fatal(err)
@@ -153,7 +153,7 @@ func recordGrid(b *testing.B, w workloads.Workload) ([]byte, trace.GridHeader) {
 	var buf bytes.Buffer
 	gw := trace.NewGridWriter(&buf, w.Name(), "bench", experiments.DefaultSeed)
 	sim := memsim.New(cfg)
-	sim.SetGridCapture(gw)
+	sim.SetCapture(gw)
 	w.Run(sim, experiments.DefaultSeed)
 	hdr, err := gw.Finish(sim.Result().Instructions, nil)
 	if err != nil {

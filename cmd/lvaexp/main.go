@@ -128,8 +128,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "lvaexp: %d experiment(s) in %v; %d kernel simulation(s), %d run-cache hit(s) (%.1f%% dedup)\n",
 			len(figs), time.Since(start).Round(time.Millisecond), s.Simulated, s.Hits, 100*s.DedupFraction())
 		t := experiments.TraceCounters()
-		fmt.Fprintf(os.Stderr, "lvaexp: grid traces: %d recorded (%d recaptured), %d point(s) footer-served, %d replayed in %d pass(es) (+%d memo hits), %d executed\n",
-			t.Recordings, t.Recaptures, t.HeaderHits, t.ReplayPoints, t.ReplayPasses, t.ReplayHits, t.ExecPoints)
+		fmt.Fprintf(os.Stderr, "lvaexp: grid traces: %d recorded, %d point(s) footer-served, %d replayed in %d pass(es) (+%d memo hits), %d executed; %d stream(s) recaptured by a second kernel execution\n",
+			t.Recordings, t.HeaderHits, t.ReplayPoints, t.ReplayPasses, t.ReplayHits, t.ExecPoints, t.Recaptures)
 	}
 	if metricsF != nil {
 		b, err := obs.Default().Snapshot(false).JSON()

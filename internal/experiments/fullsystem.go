@@ -1,17 +1,13 @@
 package experiments
 
 import (
-	"bufio"
-	"bytes"
 	"fmt"
-	"os"
 	"strconv"
 	"sync"
 	"time"
 
 	"lva/internal/fullsys"
 	"lva/internal/obs/prov"
-	"lva/internal/trace"
 	"lva/internal/workloads"
 )
 
@@ -53,21 +49,21 @@ func newSweep(rs []fullsys.Result) *fullsysRun {
 	return run
 }
 
-// streamSlots bounds the decoded recordings alive at once to one per gate
-// slot plus one decoding ahead, since a decoded recording is large (40 B
-// per access). It is sized from Parallelism's start-up value.
+// streamSlots bounds the captured streams alive at once to one per gate
+// slot plus one capturing ahead, since a captured stream is large (32 B per
+// access). It is sized from Parallelism's start-up value.
 var streamSlots = make(chan struct{}, max(1, Parallelism)+1)
 
 // claimMu makes fullsysResults' claim on its points atomic, so concurrent
 // calls over the same points (Figures 10 and 11 under RunAll) find them all
-// claimed or none, and only one of them decodes the recording.
+// claimed or none, and only one of them captures the stream.
 var claimMu sync.Mutex
 
 // fullsysResults returns the phase-2 results of w under each of cfgs,
 // memoized per phase-2 design point (Figures 10 and 11 and the extensions
-// share points). It claims every point no other call has claimed, decodes
-// w's precise recording once for them in a gate task of its own, then runs
-// each claimed point as its own gate task on the decoded stream, which it
+// share points). It claims every point no other call has claimed, captures
+// w's precise stream once for them in a gate task of its own, then runs
+// each claimed point as its own gate task on the captured stream, which it
 // drops once they finish. cfgs must share one core count. A memo hit emits
 // no provenance record. fullsysResults must not be called from a gate task.
 func fullsysResults(w workloads.Workload, cfgs []fullsys.Config) []fullsys.Result {
@@ -85,13 +81,13 @@ func fullsysResults(w workloads.Workload, cfgs []fullsys.Config) []fullsys.Resul
 
 	if len(claimed) > 0 {
 		streamSlots <- struct{}{}
-		st, gs := decodePrecise(w, cfgs[claimed[0]].Cores)
+		st := capturePrecise(w, cfgs[claimed[0]].Cores)
 		var wg sync.WaitGroup
 		for _, i := range claimed {
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				runFullsys(w, cfgs[i], st, gs, cells[i])
+				runFullsys(w, cfgs[i], st, cells[i])
 			}(i)
 		}
 		wg.Wait()
@@ -104,33 +100,35 @@ func fullsysResults(w workloads.Workload, cfgs []fullsys.Config) []fullsys.Resul
 	return out
 }
 
-// decodePrecise decodes w's precise recording for cores as a gate task of
-// its own. It reads the recording from the trace store, which gs names;
-// with no readable recording (no writable trace directory, or a chunk that
-// fails to decode) it records the stream again in memory and gs is nil. It
-// panics only if that fails too, which only a bug can cause.
-func decodePrecise(w workloads.Workload, cores int) (st *fullsys.Stream, gs *gridStream) {
-	gated("decode/"+w.Name(), func() {
-		if g := ensureStream(precisePoint(w, DefaultSeed)); g.path != "" {
-			if s, err := decodeFile(g, cores); err == nil {
-				st, gs = s, g
-				return
-			}
+// capturePrecise executes w's precise kernel with a phase-2 capture
+// attached, as a gate task of its own, and returns the stream filed for
+// cores. The execution is the run cache's precise cell, so it doubles as
+// RunPrecise(w) and counts as that point's one simulation. When another
+// call filled the cell first (an error figure, or a trace-store
+// recording), the capture takes a second kernel execution, counted as a
+// recapture (TraceStats.Recaptures).
+func capturePrecise(w workloads.Workload, cores int) *fullsys.Stream {
+	var st *fullsys.Stream
+	gated("capture/"+w.Name(), func() {
+		dp := precisePoint(w, DefaultSeed)
+		c := fullsys.NewCapture(cores)
+		captured := false
+		cachedRun(dp, func() RunResult {
+			captured = true
+			return runWith(dp, c)
+		})
+		if !captured {
+			runWith(dp, c)
+			traceStats.recaptures.Add(1)
 		}
-		gr, hdr, err := recordInMemory(w, DefaultSeed)
-		if err == nil {
-			st, err = fullsys.Decode(cores, hdr.Threads, gr)
-		}
-		if err != nil {
-			panic(fmt.Sprintf("experiments: in-memory phase-2 recording of %s: %v", w.Name(), err))
-		}
+		st = c.Stream()
 	})
-	return st, gs
+	return st
 }
 
-// runFullsys runs one claimed phase-2 point on st, decoded from gs (nil
-// for an in-memory re-recording), as a gate task and sets its memo cell.
-func runFullsys(w workloads.Workload, cfg fullsys.Config, st *fullsys.Stream, gs *gridStream, cell *memoCell) {
+// runFullsys runs one claimed phase-2 point on st as a gate task and sets
+// its memo cell.
+func runFullsys(w workloads.Workload, cfg fullsys.Config, st *fullsys.Stream, cell *memoCell) {
 	label := "precise"
 	if cfg.Approx != nil {
 		label = "lva-d" + strconv.Itoa(cfg.Approx.Degree)
@@ -145,17 +143,11 @@ func runFullsys(w workloads.Workload, cfg fullsys.Config, st *fullsys.Stream, gs
 		if !pc.on() {
 			return
 		}
-		route, why, stages, flow := prov.RouteReplay, provWhyStream, provStagesStream, ""
-		if gs == nil {
-			route, why, stages = prov.RouteExec, provWhyMemRecord, provStagesRunExec
-		} else {
-			flow = gs.hdr.Key
-		}
 		name := w.Name() + "/" + label
-		pc.point("fullsys", name, "fullsys", route, prov.CounterNone, why,
-			fullsysPoint(w, cfg, DefaultSeed), gs, stages, "")
-		pc.stage("fullsys "+name, "f", flow,
-			map[string]any{"route": string(route), "workload": w.Name()})
+		pc.point("fullsys", name, "fullsys", prov.RouteExec, prov.CounterNone, provWhyCapture,
+			fullsysPoint(w, cfg, DefaultSeed), nil, provStagesRunExec, "")
+		pc.stage("fullsys "+name, "", "",
+			map[string]any{"route": string(prov.RouteExec), "workload": w.Name()})
 	})
 }
 
@@ -175,48 +167,19 @@ func fullsysAll(cfgsFor func(w workloads.Workload) []fullsys.Config) [][]fullsys
 	return out
 }
 
-// RunFullSystem runs w precisely under the phase-1 simulator, recording its
-// 4-thread access stream into an in-memory grid trace, and replays that
-// stream in the phase-2 model under cfg — the paper's two-phase methodology
-// (approximation is applied during replay, where the paper notes
-// instruction streams vary by at most ~2.4%). It memoizes nothing: every
-// call executes the kernel once. An invalid cfg is reported before the
-// kernel runs.
+// RunFullSystem runs w precisely under the phase-1 simulator, capturing its
+// 4-thread access stream in memory, and runs that stream in the phase-2
+// model under cfg — the paper's two-phase methodology (approximation is
+// applied during replay, where the paper notes instruction streams vary
+// by at most ~2.4%). It memoizes nothing: every call executes the kernel
+// once. An invalid cfg is reported before the kernel runs.
 func RunFullSystem(w workloads.Workload, seed uint64, cfg fullsys.Config) (fullsys.Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return fullsys.Result{}, err
 	}
-	gr, hdr, err := recordInMemory(w, seed)
-	if err != nil {
-		return fullsys.Result{}, err
-	}
-	return fullsys.New(cfg).RunStream(hdr.Threads, gr)
-}
-
-// recordInMemory executes w precisely with the grid capture attached and
-// returns a reader over the in-memory recording.
-func recordInMemory(w workloads.Workload, seed uint64) (*trace.GridReader, trace.GridHeader, error) {
-	var buf bytes.Buffer
-	_, hdr, err := writeStream(precisePoint(w, seed), &buf)
-	if err != nil {
-		return nil, hdr, err
-	}
-	gr, err := trace.NewGridReader(&buf)
-	return gr, hdr, err
-}
-
-// decodeFile decodes the store recording gs for cores.
-func decodeFile(gs *gridStream, cores int) (*fullsys.Stream, error) {
-	f, err := os.Open(gs.path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	gr, err := trace.NewGridReader(bufio.NewReaderSize(f, 1<<16))
-	if err != nil {
-		return nil, err
-	}
-	return fullsys.Decode(cores, gs.hdr.Threads, gr)
+	c := fullsys.NewCapture(cfg.Cores)
+	runWith(precisePoint(w, seed), c)
+	return fullsys.New(cfg).Run(c.Stream())
 }
 
 // Fig10 reproduces Figure 10: full-system speedup (a) and dynamic energy
@@ -315,8 +278,9 @@ func sweepAll() []*fullsysRun {
 	return out
 }
 
-// FullSystemResult exposes the memoized phase-2 replays for a workload so
-// tools (cmd/lvaexp -v, tests) can inspect raw cycle/energy numbers.
+// FullSystemResult returns w's memoized Figure 10/11 phase-2 results: the
+// precise run and the LVA run at degree, for tests and the benchmark's
+// exact counts to inspect raw cycle, traffic and energy numbers.
 func FullSystemResult(w workloads.Workload, degree int) (precise, lva fullsys.Result) {
 	r := newSweep(fullsysResults(w, sweepConfigs(w)))
 	return r.precise, r.byDeg[degree]

@@ -10,7 +10,6 @@ import (
 	"lva/internal/core"
 	"lva/internal/memsim"
 	"lva/internal/obs/attr"
-	"lva/internal/trace"
 	"lva/internal/workloads"
 )
 
@@ -54,13 +53,11 @@ func simulate(dp designPoint) RunResult {
 	return cachedRun(dp, func() RunResult { return runWith(dp, nil) })
 }
 
-// runWith executes dp's kernel on an observed simulator, streaming its
-// annotated accesses into gw when gw is non-nil.
-func runWith(dp designPoint, gw *trace.GridWriter) RunResult {
+// runWith executes dp's kernel on an observed simulator, handing its
+// accesses to sink when sink is non-nil.
+func runWith(dp designPoint, sink memsim.Sink) RunResult {
 	o := observe(dp)
-	if gw != nil {
-		o.SetGridCapture(gw)
-	}
+	o.SetCapture(sink)
 	out := dp.w.Run(o.Sim, dp.seed)
 	res := RunResult{Output: out, Sim: o.Result()}
 	o.publish()

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"lva/internal/core"
@@ -294,25 +295,33 @@ func TestTraceStoreCorruptChunkFallsBackToExec(t *testing.T) {
 	}
 }
 
-// TestFullSystemFallsBackWithoutRecording covers phase 2's failure path.
-// When the precise recording fails mid-decode (a corrupt chunk under a
-// valid footer) or cannot be written at all (a trace directory that cannot
-// be created), Figures 10 and 11 must still get exactly the healthy-store
-// results, through RunFullSystem's in-memory recording, and provenance
-// must show those points on the exec route.
-func TestFullSystemFallsBackWithoutRecording(t *testing.T) {
+// countingWorkload is a workload that counts its kernel executions. runs
+// is a pointer so that the design-point key, which renders the workload
+// with %#v, does not change as it counts.
+type countingWorkload struct {
+	workloads.Workload
+	runs *atomic.Int64
+}
+
+func (c countingWorkload) Run(mem *memsim.Sim, seed uint64) workloads.Output {
+	c.runs.Add(1)
+	return c.Workload.Run(mem, seed)
+}
+
+// TestPhase2RunsEachKernelOnce pins phase 2's kernel executions: from an
+// empty run cache, a workload's Figure 10/11 sweep executes its precise
+// kernel exactly once and gets the same results whatever the trace store
+// holds: a healthy store, a precise recording with a corrupt chunk under a
+// valid footer, or no store at all (a trace directory that cannot be
+// created). Phase 2 captures the stream during that one execution and
+// never reads the store, and provenance shows every phase-2 point on the
+// exec route.
+func TestPhase2RunsEachKernelOnce(t *testing.T) {
 	t.Setenv("LVA_TRACE_DIR", t.TempDir())
 	ResetRunCache()
 	defer ResetRunCache()
-	w, err := workloads.ByName("swaptions")
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantPrecise, want4 := FullSystemResult(w, 4)
-	st := ensureStream(precisePoint(w, DefaultSeed))
-	if st.path == "" {
-		t.Fatal("recording failed")
-	}
+	w := countingWorkload{workloads.NewSwaptions(), new(atomic.Int64)}
+	cfgs := sweepConfigs(w)
 	blocker := filepath.Join(t.TempDir(), "file")
 	if err := os.WriteFile(blocker, nil, 0o644); err != nil {
 		t.Fatal(err)
@@ -322,9 +331,14 @@ func TestFullSystemFallsBackWithoutRecording(t *testing.T) {
 		name  string
 		setup func(t *testing.T)
 	}{
+		{"writable trace dir", func(*testing.T) {}},
 		{"corrupt chunk", func(t *testing.T) {
 			// As in TestTraceStoreCorruptChunkFallsBackToExec: the first
 			// chunk header goes, the footer still reads.
+			st := ensureStream(precisePoint(w, DefaultSeed))
+			if st.path == "" {
+				t.Fatal("recording failed")
+			}
 			f, err := os.OpenFile(st.path, os.O_WRONLY, 0)
 			if err != nil {
 				t.Fatal(err)
@@ -335,24 +349,29 @@ func TestFullSystemFallsBackWithoutRecording(t *testing.T) {
 			if err := f.Close(); err != nil {
 				t.Fatal(err)
 			}
+			ResetRunCache()
 		}},
 		{"uncreatable trace dir", func(t *testing.T) {
 			t.Setenv("LVA_TRACE_DIR", filepath.Join(blocker, "traces"))
 		}},
 	}
+	var want []fullsys.Result
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			ResetRunCache()
 			c.setup(t)
+			w.runs.Store(0)
 			EnableProvenance()
 			defer DisableProvenance()
 
-			precise, got4 := FullSystemResult(w, 4)
-			if !reflect.DeepEqual(precise, wantPrecise) {
-				t.Errorf("precise fallback differs from the healthy store:\nwant %+v\ngot  %+v", wantPrecise, precise)
+			got := fullsysResults(w, cfgs)
+			if n := w.runs.Load(); n != 1 {
+				t.Errorf("phase 2 executed the kernel %d times, want 1", n)
 			}
-			if !reflect.DeepEqual(got4, want4) {
-				t.Errorf("degree-4 fallback differs from the healthy store:\nwant %+v\ngot  %+v", want4, got4)
+			if want == nil {
+				want = got
+			} else if !reflect.DeepEqual(got, want) {
+				t.Errorf("results differ from the writable trace dir's:\nwant %+v\ngot  %+v", want, got)
 			}
 
 			_, m := provManifest(t)
@@ -364,13 +383,13 @@ func TestFullSystemFallsBackWithoutRecording(t *testing.T) {
 				if r.Figure != "fullsys" {
 					continue
 				}
-				if r.Route != string(prov.RouteExec) || r.Why != provWhyMemRecord {
-					t.Errorf("fullsys record %s on route %s (%s), want exec (%s)", r.Label, r.Route, r.Why, provWhyMemRecord)
+				if r.Route != string(prov.RouteExec) || r.Why != provWhyCapture {
+					t.Errorf("fullsys record %s on route %s (%s), want exec (%s)", r.Label, r.Route, r.Why, provWhyCapture)
 				}
 				exec += r.Count
 			}
-			if want := uint64(1 + len(fullsysDegrees)); exec != want {
-				t.Errorf("%d fullsys points on route exec, want %d", exec, want)
+			if exec != uint64(len(cfgs)) {
+				t.Errorf("%d fullsys points on route exec, want %d", exec, len(cfgs))
 			}
 		})
 	}
@@ -432,12 +451,18 @@ func TestFullsysPointIdentity(t *testing.T) {
 	}
 }
 
-// TestPhase2DecodesEachRecordingOnce pins phase 2's decode-once contract:
-// Figures 10 and 11 run concurrently from an empty store, yet every precise
-// recording is decoded exactly once for their twelve shared configurations,
-// so the ledger's streamed volume equals the seven recordings' footers.
-func TestPhase2DecodesEachRecordingOnce(t *testing.T) {
-	SetTraceDir(t.TempDir())
+// phase2Accesses is the accesses of the seven precise streams at
+// DefaultSeed: what phase 2 files for Figures 10 and 11.
+const phase2Accesses = 6626866
+
+// TestPhase2CapturesEachStreamOnce pins phase 2's capture-once contract:
+// Figures 10 and 11 run concurrently from empty memos and an empty store,
+// yet every precise stream is captured exactly once for their twelve shared
+// configurations, so the ledger's streamed volume equals the seven precise
+// runs' accesses in one set of blocks each, and nothing is recorded.
+func TestPhase2CapturesEachStreamOnce(t *testing.T) {
+	dir := t.TempDir()
+	SetTraceDir(dir)
 	defer SetTraceDir("")
 	ResetRunCache()
 	defer ResetRunCache()
@@ -447,19 +472,30 @@ func TestPhase2DecodesEachRecordingOnce(t *testing.T) {
 	if _, err := RunAll("fig10", "fig11"); err != nil {
 		t.Fatal(err)
 	}
-	var accesses, chunks uint64
-	for _, w := range workloads.All() {
-		st := ensureStream(precisePoint(w, DefaultSeed))
-		if st.path == "" {
-			t.Fatalf("%s: no recording in the store", w.Name())
-		}
-		accesses += st.hdr.Accesses
-		chunks += st.hdr.Chunks
+	if ts := TraceCounters(); ts.Recordings != 0 || ts.Recaptures != 0 {
+		t.Errorf("trace store = %+v, want no recording and no recapture", ts)
+	}
+	if left, _ := os.ReadDir(dir); len(left) != 0 {
+		t.Errorf("phase 2 wrote %d file(s) to the trace store", len(left))
 	}
 	got := prov.Active().Costs()
-	t.Logf("streamed %d accesses in %d chunks", got.StreamedAccesses, got.StreamedChunks)
-	if got.StreamedAccesses != accesses || got.StreamedChunks != chunks {
-		t.Errorf("phase 2 decoded %d accesses in %d chunks, want the recordings' %d in %d: one decode each",
-			got.StreamedAccesses, got.StreamedChunks, accesses, chunks)
+	// Each precise run is a run-cache hit now, and its per-core access
+	// counts are in the memoized precise phase-2 result.
+	var accesses, blocks uint64
+	for _, w := range workloads.All() {
+		r := RunPrecise(w, DefaultSeed).Sim
+		accesses += r.Loads + r.Stores
+		precise, _ := FullSystemResult(w, 0)
+		for _, c := range precise.PerCore {
+			blocks += (uint64(c.Accesses) + 4095) / 4096
+		}
+	}
+	t.Logf("streamed %d accesses in %d blocks", got.StreamedAccesses, got.StreamedBlocks)
+	if accesses != phase2Accesses {
+		t.Errorf("the precise runs made %d accesses, want %d", accesses, phase2Accesses)
+	}
+	if got.StreamedAccesses != accesses || got.StreamedBlocks != blocks {
+		t.Errorf("phase 2 filed %d accesses in %d blocks, want the precise runs' %d in %d: one capture each",
+			got.StreamedAccesses, got.StreamedBlocks, accesses, blocks)
 	}
 }

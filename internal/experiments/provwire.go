@@ -78,8 +78,7 @@ const (
 	provWhyReplayOff    = "replay disabled; executed through the run cache"
 	provWhyOutputRow    = "output-error row: kernel arithmetic required"
 	provWhySweepExec    = "sweep point needs output error; executed"
-	provWhyStream       = "phase-2 model streams the precise recording"
-	provWhyMemRecord    = "no readable recording; re-recorded in memory and streamed"
+	provWhyCapture      = "phase-2 model runs the precise stream captured in memory"
 )
 
 // Span stage paths, shared so records allocate no per-emit slices.
@@ -90,7 +89,6 @@ var (
 	provStagesRunExec   = []string{"schedule", "runcache", "exec", "figure-append"}
 	provStagesRecord    = []string{"schedule", "runcache", "capture-stream"}
 	provStagesSweepExec = []string{"schedule", "runcache", "exec", "sweep-append"}
-	provStagesStream    = []string{"schedule", "tracestore", "stream", "figure-append"}
 )
 
 // provCtx anchors one serving stage: the active ledger (nil = off) plus

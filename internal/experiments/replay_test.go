@@ -55,7 +55,7 @@ func recordGrid(t *testing.T, w workloads.Workload, cfg memsim.Config) ([]byte, 
 	var buf bytes.Buffer
 	gw := trace.NewGridWriter(&buf, w.Name(), "test/"+w.Name(), DefaultSeed)
 	sim := memsim.New(cfg)
-	sim.SetGridCapture(gw)
+	sim.SetCapture(gw)
 	w.Run(sim, DefaultSeed)
 	res := sim.Result()
 	hdr, err := gw.Finish(res.Instructions, nil)

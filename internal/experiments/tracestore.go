@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -46,11 +45,14 @@ type TraceStats struct {
 	// (each distinct (kind, workload, seed) records at most once per
 	// process; a warm on-disk store records zero).
 	Recordings uint64
-	// Recaptures is the subset of Recordings that took a second kernel
-	// execution: the point's run-cache cell was already filled by a plain
-	// Run* call, so the recording could not ride that simulation. A
-	// recapture is not a run-cache simulation and publishes no simulator
-	// events, so neither depends on which figure reached the point first.
+	// Recaptures counts the stream captures that took a second kernel
+	// execution because another call had already filled the point's
+	// run-cache cell, so the capture could not ride that simulation: a
+	// recording after a plain Run* call or a phase-2 capture (such
+	// recordings are also in Recordings), and a phase-2 capture after a
+	// Run* call or a recording (capturePrecise). A recapture is not a
+	// run-cache simulation and publishes no simulator events, so neither
+	// depends on which figure reached the point first.
 	Recaptures uint64
 	// HeaderHits counts design points served straight from a recorded
 	// stream's footer counters, with no simulation at all.
@@ -278,8 +280,9 @@ func EnsureGridStream(kind string, w workloads.Workload, seed uint64) (string, e
 	return st.path, nil
 }
 
-// recordStream executes dp's kernel with the grid capture sink attached
-// and persists the stream at path (written to a temp file and renamed,
+// recordStream executes dp's kernel with a grid writer attached and
+// persists the stream at path as a recording keyed by dp.key(), with the
+// run's memsim.Result in the footer (written to a temp file and renamed,
 // so concurrent processes sharing LVA_TRACE_DIR never observe a partial
 // file). The returned RunResult is always valid — a persistence failure
 // only costs the recording, never the simulation.
@@ -293,7 +296,13 @@ func recordStream(dp designPoint, path string) (RunResult, trace.GridHeader, err
 		return runWith(dp, nil), trace.GridHeader{}, err
 	}
 	bw := bufio.NewWriterSize(f, 1<<16)
-	res, hdr, err := writeStream(dp, bw)
+	gw := trace.NewGridWriter(bw, dp.w.Name(), dp.key(), dp.seed)
+	res := runWith(dp, gw)
+	var hdr trace.GridHeader
+	meta, err := json.Marshal(res.Sim)
+	if err == nil {
+		hdr, err = gw.Finish(res.Sim.Instructions, meta)
+	}
 	if err == nil {
 		err = bw.Flush()
 	}
@@ -309,21 +318,6 @@ func recordStream(dp designPoint, path string) (RunResult, trace.GridHeader, err
 	}
 	traceStats.recordings.Add(1)
 	return res, hdr, nil
-}
-
-// writeStream executes dp's kernel and streams its annotated accesses
-// into dst as a grid recording keyed by dp.key(), with the run's
-// memsim.Result in the footer. The RunResult is valid whatever the error
-// says: a failed write only costs the recording.
-func writeStream(dp designPoint, dst io.Writer) (RunResult, trace.GridHeader, error) {
-	gw := trace.NewGridWriter(dst, dp.w.Name(), dp.key(), dp.seed)
-	res := runWith(dp, gw)
-	meta, err := json.Marshal(res.Sim)
-	if err != nil {
-		return res, trace.GridHeader{}, err
-	}
-	hdr, err := gw.Finish(res.Sim.Instructions, meta)
-	return res, hdr, err
 }
 
 // readStreamHeader loads a recording's footer and the memsim.Result it

@@ -27,6 +27,7 @@ import (
 	"lva/internal/noc"
 	"lva/internal/obs/prov"
 	"lva/internal/trace"
+	"lva/internal/value"
 )
 
 // Config assembles a full-system simulation (defaults follow Table II).
@@ -223,7 +224,7 @@ type coreState struct {
 	mshr           []uint64 // completion times of in-flight fetches, capacity MSHRs
 	approx         *core.Approximator
 	// blk and pos are the core's cursor into a Stream: the next access is
-	// blk.accs[pos], and blk is nil once the core's accesses are done.
+	// blk.recs[pos], and blk is nil once the core's accesses are done.
 	blk *streamBlock
 	pos int
 }
@@ -253,38 +254,154 @@ func (c *coreState) pushPending(p pendingMiss) {
 // into: one grid chunk.
 const streamBlockAccesses = 4096
 
+// record is one access as a Stream holds it: 32 bytes, where a
+// trace.Access takes 40. gap is the access's per-thread instruction gap
+// (trace.Access.Gap); flags holds recStore, recApprox and recFloat. A
+// store's bits are zero.
+type record struct {
+	addr, pc, bits uint64
+	gap            uint32
+	flags          uint8
+}
+
+// record flags.
+const (
+	recStore  uint8 = 1 << iota // a store; otherwise a load
+	recApprox                   // the access is annotated approximate
+	recFloat                    // the load's value is a float64
+)
+
+// set fills r with one access whose per-thread gap is gap. It writes the
+// fields one by one: a record built on the stack and copied in is stored
+// in pieces and reloaded whole, a store-forwarding stall on every access.
+func (r *record) set(pc, addr uint64, v value.Value, op trace.Op, approx bool, gap uint32) {
+	bits, flags := v.Bits, uint8(0)
+	if v.Kind == value.Float {
+		flags = recFloat
+	}
+	if op == trace.Store {
+		bits, flags = 0, recStore
+	}
+	if approx {
+		flags |= recApprox
+	}
+	r.addr, r.pc, r.bits, r.gap, r.flags = addr, pc, bits, gap, flags
+}
+
+// val is the load's precise value.
+func (r *record) val() value.Value {
+	if r.flags&recFloat != 0 {
+		return value.Value{Bits: r.bits, Kind: value.Float}
+	}
+	return value.Value{Bits: r.bits, Kind: value.Int}
+}
+
 // streamBlock is one fixed segment of a core's accesses in a Stream. next
 // comes first so the garbage collector scans one word, not the whole block
-// (an Access holds no pointers). A block in a Stream is never empty.
+// (a record holds no pointers). A block in a Stream is never empty.
 type streamBlock struct {
 	next *streamBlock
 	n    int // filled entries
-	accs [streamBlockAccesses]trace.Access
+	recs [streamBlockAccesses]record
 }
 
-// Stream is a recording decoded for a fixed core count: each core's
-// accesses in stream order, in fixed blocks. Decode builds it; it is
-// read-only afterwards, so any number of Sims may Run it concurrently.
+// Stream is an access stream filed for a fixed core count: each core's
+// accesses in stream order, in fixed blocks. A Capture or Decode builds it;
+// it is read-only afterwards, so any number of Sims may Run it
+// concurrently.
+//
+// A Stream holds every access, 32 bytes each, in blocks that nothing
+// recycles: the caller decides how many Streams are alive at once.
 type Stream struct {
 	heads []*streamBlock // per core; nil when no access maps to the core
 }
 
-// Decode reads src to the end in one pass and files each access into its
-// core's blocks: thread t runs on core t mod cores, and threads is the
-// stream's thread count (GridHeader.Threads). An access whose thread is
-// not below threads is an error (a recording footer is outside input), as
-// is a source error; a Stream is returned only for the whole stream.
+// Capture builds a Stream while a phase-1 run executes: it implements
+// memsim.Sink, and files each access into its core's blocks exactly as
+// Decode files the LVAG recording of the same run, so the two Streams are
+// equal block for block. Thread t runs on core t mod cores, and an access's
+// gap is the global instruction count since its thread's previous access,
+// clamped to 2^30 (GridReader's rule). Not safe for concurrent use.
+type Capture struct {
+	st    *Stream
+	tails []*streamBlock
+	// lastEnd is, per thread, the global instruction index just past the
+	// thread's previous access.
+	lastEnd [256]uint64
+	blocks  uint64
+	n       uint64 // accesses filed
+}
+
+// NewCapture starts an empty Stream for cores cores. It panics if cores is
+// not positive, since core counts are fixed experiment parameters.
+func NewCapture(cores int) *Capture {
+	if cores <= 0 {
+		panic(fmt.Sprintf("fullsys: cannot capture a stream for %d cores", cores))
+	}
+	return &Capture{st: &Stream{heads: make([]*streamBlock, cores)}, tails: make([]*streamBlock, cores)}
+}
+
+// Access implements memsim.Sink. insts is the global instruction count
+// before the access retires; a store's value is ignored.
+func (c *Capture) Access(pc, addr uint64, v value.Value, op trace.Op, approx bool, thread uint8, insts uint64) {
+	gap := insts - c.lastEnd[thread]
+	if gap > 1<<30 {
+		gap = 1 << 30
+	}
+	c.lastEnd[thread] = insts + 1
+	c.slot(int(thread)%len(c.tails)).set(pc, addr, v, op, approx, uint32(gap))
+}
+
+// slot appends an access to core's accesses and returns its record for the
+// caller to set.
+func (c *Capture) slot(core int) *record {
+	b := c.tails[core]
+	if b == nil || b.n == len(b.recs) {
+		b = c.grow(core)
+	}
+	b.n++
+	c.n++
+	return &b.recs[b.n-1]
+}
+
+// grow appends an empty block to core's list and returns it. It is the only
+// place a Capture allocates after NewCapture, and it stays out of line so
+// the allocation budget sees none in Access.
 //
-// A decoded Stream holds every access, 40 bytes each, in blocks that
-// Decode allocates and nothing recycles: the caller decides how many
-// Streams are alive at once.
+//go:noinline
+func (c *Capture) grow(core int) *streamBlock {
+	nb := new(streamBlock)
+	if b := c.tails[core]; b == nil {
+		c.st.heads[core] = nb
+	} else {
+		b.next = nb
+	}
+	c.tails[core] = nb
+	c.blocks++
+	return nb
+}
+
+// Stream returns the captured Stream and, when a provenance ledger is
+// active, accounts its blocks and accesses there. Call it once, after the
+// last access.
+func (c *Capture) Stream() *Stream {
+	if l := prov.Active(); l != nil {
+		l.AddStream(c.blocks, c.n)
+	}
+	return c.st
+}
+
+// Decode reads src to the end in one pass and files each access into its
+// core's blocks, as a Capture of the recorded run would: thread t runs on
+// core t mod cores, and threads is the stream's thread count
+// (GridHeader.Threads). An access whose thread is not below threads is an
+// error (a recording footer is outside input), as is a source error; a
+// Stream is returned only for the whole stream.
 func Decode(cores, threads int, src trace.ChunkSource) (*Stream, error) {
 	if cores <= 0 {
 		return nil, fmt.Errorf("fullsys: cannot decode a stream for %d cores", cores)
 	}
-	st := &Stream{heads: make([]*streamBlock, cores)}
-	tails := make([]*streamBlock, cores)
-	var chunks, accesses uint64
+	c := NewCapture(cores)
 	for {
 		accs, _, err := src.Next()
 		if err == io.EOF {
@@ -293,37 +410,20 @@ func Decode(cores, threads int, src trace.ChunkSource) (*Stream, error) {
 		if err != nil {
 			return nil, err
 		}
-		chunks++
 		for i := range accs {
-			t := int(accs[i].Thread)
+			a := &accs[i]
+			t := int(a.Thread)
 			if t >= threads {
-				return nil, fmt.Errorf("fullsys: access %d is on thread %d, but the stream declares %d threads", accesses+uint64(i), t, threads)
+				return nil, fmt.Errorf("fullsys: access %d is on thread %d, but the stream declares %d threads", c.n, t, threads)
 			}
-			c := t % cores
-			b := tails[c]
-			if b == nil || b.n == len(b.accs) {
-				nb := new(streamBlock)
-				if b == nil {
-					st.heads[c] = nb
-				} else {
-					b.next = nb
-				}
-				b, tails[c] = nb, nb
-			}
-			b.accs[b.n] = accs[i]
-			b.n++
+			c.slot(t%cores).set(a.PC, a.Addr, a.Value, a.Op, a.Approx, a.Gap)
 		}
-		accesses += uint64(len(accs))
 	}
-	// One provenance cost sample per decode, only when a ledger is active.
-	if l := prov.Active(); l != nil {
-		l.AddStream(chunks, accesses)
-	}
-	return st, nil
+	return c.Stream(), nil
 }
 
 // Sim is the full-system simulator. Build with New, then feed it a
-// recording with RunStream, or a decoded Stream with Run.
+// recording with RunStream, or a captured or decoded Stream with Run.
 type Sim struct {
 	cfg   Config
 	mesh  *noc.Mesh
@@ -397,7 +497,7 @@ func (s *Sim) RunStream(threads int, src trace.ChunkSource) (Result, error) {
 	return s.Run(st)
 }
 
-// Run replays a decoded Stream, which must have been decoded for this
+// Run replays a Stream, which must have been captured or decoded for this
 // Sim's core count. It only reads st. Run may be called once per Sim.
 //
 // Cores advance one access at a time, always the core whose next access
@@ -408,7 +508,7 @@ func (s *Sim) RunStream(threads int, src trace.ChunkSource) (Result, error) {
 // one miss latency.
 func (s *Sim) Run(st *Stream) (Result, error) {
 	if len(st.heads) != s.cfg.Cores {
-		return Result{}, fmt.Errorf("fullsys: stream decoded for %d cores, simulator has %d", len(st.heads), s.cfg.Cores)
+		return Result{}, fmt.Errorf("fullsys: stream filed for %d cores, simulator has %d", len(st.heads), s.cfg.Cores)
 	}
 	cores := s.newCores()
 	for i, c := range cores {
@@ -421,7 +521,7 @@ func (s *Sim) Run(st *Stream) (Result, error) {
 			if c.blk == nil {
 				continue
 			}
-			key := c.cycleQ + uint64(c.blk.accs[c.pos].Gap)
+			key := c.cycleQ + uint64(c.blk.recs[c.pos].gap)
 			if next == nil || key < nextKey {
 				next, nextKey = c, key
 			}
@@ -429,7 +529,7 @@ func (s *Sim) Run(st *Stream) (Result, error) {
 		if next == nil {
 			break
 		}
-		s.step(next, &next.blk.accs[next.pos])
+		s.step(next, &next.blk.recs[next.pos])
 		if next.pos++; next.pos == next.blk.n {
 			next.blk, next.pos = next.blk.next, 0
 		}
@@ -502,11 +602,11 @@ func (s *Sim) retire(c *coreState, instsAboutToBe uint64) {
 }
 
 // step simulates access a, the next one of core c.
-func (s *Sim) step(c *coreState, a *trace.Access) {
+func (s *Sim) step(c *coreState, a *record) {
 	c.seen++
 
 	// Non-memory instructions since the previous access on this thread.
-	gap := uint64(a.Gap)
+	gap := uint64(a.gap)
 	c.insts += gap
 	c.cycleQ += gap // one quarter-cycle each at 4-wide
 	s.retire(c, c.insts+1)
@@ -516,12 +616,12 @@ func (s *Sim) step(c *coreState, a *trace.Access) {
 	c.cycleQ++
 	now := c.cycles()
 
-	block := s.l1[c.id].BlockAddr(a.Addr)
+	block := s.l1[c.id].BlockAddr(a.addr)
 	s.tally.L1Accesses++
 
-	if a.Op == trace.Store {
+	if a.flags&recStore != 0 {
 		s.res.Stores++
-		if s.l1[c.id].Store(a.Addr) {
+		if s.l1[c.id].Store(a.addr) {
 			// Hit: may still need ownership.
 			if s.dir.StateOf(block) != coherence.Modified {
 				s.storeUpgrade(c.id, block, now)
@@ -531,7 +631,7 @@ func (s *Sim) step(c *coreState, a *trace.Access) {
 		// Store miss: write-allocate through the store buffer; the core
 		// does not stall beyond MSHR availability.
 		s.issueFetch(c, block, true, false)
-		s.l1[c.id].MarkDirty(a.Addr)
+		s.l1[c.id].MarkDirty(a.addr)
 		return
 	}
 
@@ -539,14 +639,14 @@ func (s *Sim) step(c *coreState, a *trace.Access) {
 	if c.approx != nil {
 		c.approx.OnLoad()
 	}
-	if s.l1[c.id].Load(a.Addr) {
+	if s.l1[c.id].Load(a.addr) {
 		return
 	}
 	s.res.L1LoadMisses++
 
-	if a.Approx && c.approx != nil {
+	if a.flags&recApprox != 0 && c.approx != nil {
 		s.tally.ApproxAccesses++
-		d := c.approx.OnMiss(a.PC, a.Value)
+		d := c.approx.OnMiss(a.pc, a.val())
 		if d.Fetch {
 			s.tally.ApproxAccesses++ // training write
 		}

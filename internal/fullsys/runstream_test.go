@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"lva/internal/memsim"
 	"lva/internal/trace"
 	"lva/internal/value"
 )
@@ -27,20 +28,21 @@ func partitioned(i, n, threads int) uint8 { return uint8(i * threads / n) }
 
 // encodeGridStream synthesizes a multi-chunk, multi-thread grid stream with
 // mixed loads/stores/approximate accesses and returns the encoded bytes
-// plus its header.
-func encodeGridStream(t testing.TB, n, threads int, layout threadLayout) ([]byte, trace.GridHeader) {
+// plus its header. Each access also goes to every one of also.
+func encodeGridStream(t testing.TB, n, threads int, layout threadLayout, also ...memsim.Sink) ([]byte, trace.GridHeader) {
 	t.Helper()
 	var buf bytes.Buffer
 	w := trace.NewGridWriter(&buf, "unit", "k", 1)
+	sink := append(tee{w}, also...)
 	insts := uint64(0)
 	for i := 0; i < n; i++ {
 		thread := layout(i, n, threads)
 		pc := 0x400 + uint64(i%8)*4
 		addr := 0x10000 + uint64(i*2654435761)%2048*64
 		if i%5 == 0 {
-			w.Access(pc, addr, value.Value{}, trace.Store, false, thread, insts)
+			sink.Access(pc, addr, value.Value{}, trace.Store, false, thread, insts)
 		} else {
-			w.Access(pc, addr, value.FromInt(int64(i%97)), trace.Load, i%2 == 0, thread, insts)
+			sink.Access(pc, addr, value.FromInt(int64(i%97)), trace.Load, i%2 == 0, thread, insts)
 		}
 		insts += 1 + uint64(i%7)
 	}
@@ -78,9 +80,9 @@ func decodeAll(t testing.TB, encoded []byte) []trace.Access {
 	}
 }
 
-// refRun is the reference RunStream is checked against: it materializes the
-// whole stream into per-core queues up front, then replays it on s. Each
-// trace thread maps to one core. refRun may be called once per Sim.
+// refRun is the reference RunStream is checked against: it packs the whole
+// stream into per-core queues of records up front, then replays it on s.
+// Each trace thread maps to one core. refRun may be called once per Sim.
 func refRun(s *Sim, accs []trace.Access) Result {
 	cores := s.newCores()
 	// Count each core's share first so the per-core queues are allocated
@@ -90,13 +92,14 @@ func refRun(s *Sim, accs []trace.Access) Result {
 	for i := range accs {
 		counts[int(accs[i].Thread)%s.cfg.Cores]++
 	}
-	queues := make([][]trace.Access, s.cfg.Cores)
+	queues := make([][]record, s.cfg.Cores)
 	for i := range queues {
-		queues[i] = make([]trace.Access, 0, counts[i])
+		queues[i] = make([]record, 0, counts[i])
 	}
 	for _, a := range accs {
 		i := int(a.Thread) % s.cfg.Cores
-		queues[i] = append(queues[i], a)
+		queues[i] = append(queues[i], record{})
+		queues[i][len(queues[i])-1].set(a.PC, a.Addr, a.Value, a.Op, a.Approx, a.Gap)
 	}
 
 	// Advance cores one access at a time, always the core whose next
@@ -112,7 +115,7 @@ func refRun(s *Sim, accs []trace.Access) Result {
 			if len(q) == 0 {
 				continue
 			}
-			key := cores[i].cycleQ + uint64(q[0].Gap)
+			key := cores[i].cycleQ + uint64(q[0].gap)
 			if next < 0 || key < nextKey {
 				next, nextKey = i, key
 			}
@@ -346,9 +349,10 @@ func TestRunAllocsDoNotGrow(t *testing.T) {
 
 // TestDecodeAllocatesOneBlockPerChunk bounds decoding a grid file: one
 // block per streamBlockAccesses accesses of each core, plus a constant.
-// The constant covers Decode's three (the Stream and its per-core lists)
-// and a fresh GridReader's, which reuses its payload and access buffers
-// from chunk to chunk (17 in all today, most of them the footer's JSON).
+// The constant covers Decode's four (the Capture, its Stream and the two
+// per-core lists) and a fresh GridReader's, which reuses its payload and
+// access buffers from chunk to chunk (21 in all today, most of them the
+// footer's JSON).
 // A GridReader or a Decode that allocated per chunk would exceed the bound
 // at 80000 accesses (20 chunks).
 func TestDecodeAllocatesOneBlockPerChunk(t *testing.T) {
@@ -370,11 +374,13 @@ func TestDecodeAllocatesOneBlockPerChunk(t *testing.T) {
 	}
 }
 
-// TestRunSharedStreamConcurrently runs one decoded Stream on six Sims at
-// once; each result must equal a RunStream of its own. Under -race this
-// also checks that Run only reads the Stream.
+// TestRunSharedStreamConcurrently runs one decoded Stream, and then one
+// captured Stream of the same accesses, on six Sims at once; each result
+// must equal a RunStream of its own. Under -race this also checks that Run
+// only reads the Stream.
 func TestRunSharedStreamConcurrently(t *testing.T) {
-	encoded, hdr := encodeGridStream(t, 20000, 4, partitioned)
+	c := NewCapture(DefaultConfig().Cores)
+	encoded, hdr := encodeGridStream(t, 20000, 4, partitioned, c)
 	var cfgs []Config
 	for _, d := range []int{-1, 0, 2, 4, 8, 16} {
 		cfg := DefaultConfig()
@@ -391,27 +397,32 @@ func TestRunSharedStreamConcurrently(t *testing.T) {
 		}
 		want[i] = r
 	}
-	st, err := Decode(DefaultConfig().Cores, hdr.Threads, gridReader(t, encoded))
+	decoded, err := Decode(DefaultConfig().Cores, hdr.Threads, gridReader(t, encoded))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := make([]Result, len(cfgs))
-	errs := make([]error, len(cfgs))
-	var wg sync.WaitGroup
-	for i := range cfgs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			got[i], errs[i] = New(cfgs[i]).Run(st)
-		}(i)
-	}
-	wg.Wait()
-	for i := range cfgs {
-		if errs[i] != nil {
-			t.Fatalf("config %d: %v", i, errs[i])
+	for _, s := range []struct {
+		name string
+		st   *Stream
+	}{{"decoded", decoded}, {"captured", c.Stream()}} {
+		got := make([]Result, len(cfgs))
+		errs := make([]error, len(cfgs))
+		var wg sync.WaitGroup
+		for i := range cfgs {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				got[i], errs[i] = New(cfgs[i]).Run(s.st)
+			}(i)
 		}
-		if !reflect.DeepEqual(got[i], want[i]) {
-			t.Errorf("config %d: shared-stream result differs\n got %+v\nwant %+v", i, got[i], want[i])
+		wg.Wait()
+		for i := range cfgs {
+			if errs[i] != nil {
+				t.Fatalf("%s stream, config %d: %v", s.name, i, errs[i])
+			}
+			if !reflect.DeepEqual(got[i], want[i]) {
+				t.Errorf("%s stream, config %d: shared-stream result differs\n got %+v\nwant %+v", s.name, i, got[i], want[i])
+			}
 		}
 	}
 }
@@ -431,4 +442,15 @@ func TestRunRejectsOtherCoreCount(t *testing.T) {
 	if _, err := Decode(0, hdr.Threads, gridReader(t, encoded)); err == nil {
 		t.Fatal("Decode for 0 cores: no error")
 	}
+	c := NewCapture(2)
+	encodeGridStream(t, 5000, 4, roundRobin, c)
+	if r, err := New(DefaultConfig()).Run(c.Stream()); err == nil {
+		t.Fatalf("2-core capture on a %d-core Sim: no error, result %+v", DefaultConfig().Cores, r)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("NewCapture for 0 cores: no panic")
+		}
+	}()
+	NewCapture(0)
 }

@@ -112,7 +112,7 @@ func TestPerLoadPathsAllocateNothing(t *testing.T) {
 		const chunk = 4096
 		sim := New(DefaultConfig())
 		gw := trace.NewGridWriter(io.Discard, "alloc-test", "k", 1)
-		sim.SetGridCapture(gw)
+		sim.SetCapture(gw)
 		sim.LoadFloat(0x400, 0x1000, 1, false)
 		assertZeroAllocs(t, "captured hits", func() {
 			for i := 0; i < chunk; i++ {

@@ -151,8 +151,9 @@ type Sim struct {
 	// (approx=false) hit path never tests it.
 	at *attr.Recorder
 
-	// grid is the optional streaming capture sink (record-once replay).
-	grid *trace.GridWriter
+	// sink is the optional capture sink (SetCapture). It is tested once
+	// per access, and called only in runs that capture.
+	sink Sink
 }
 
 // Simulator is kept as an alias for existing callers; new code should use
@@ -191,11 +192,21 @@ func New(cfg Config) *Sim {
 	return s
 }
 
-// SetGridCapture directs the simulator to stream every access into a grid
-// trace writer (nil detaches). Nothing is buffered in memory beyond the
-// writer's current chunk. Call before running the workload; the writer's
-// own Finish seals the file.
-func (s *Sim) SetGridCapture(w *trace.GridWriter) { s.grid = w }
+// Sink receives every access a simulator issues, in program order: the
+// PC, the address, the precise value (zero for stores), the access type,
+// the approximate annotation, the thread id, and the global instruction
+// count before the access retires. *trace.GridWriter records the accesses
+// as LVAG; fullsys.Capture files them for the phase-2 model.
+type Sink interface {
+	Access(pc, addr uint64, v value.Value, op trace.Op, approx bool, thread uint8, insts uint64)
+}
+
+var _ Sink = (*trace.GridWriter)(nil)
+
+// SetCapture directs the simulator to hand every access to sink (nil
+// detaches). Call before running the workload; finishing the capture (a
+// GridWriter's Finish, a Capture's Stream) is the caller's.
+func (s *Sim) SetCapture(sink Sink) { s.sink = sink }
 
 // SetAttribution attaches a flight recorder for this run (nil detaches),
 // wiring the attached approximator's training hooks too. Call before
@@ -225,8 +236,8 @@ func (s *Sim) Tick(n uint64) { s.insts += n }
 
 // load is the common load path; returns the (possibly clobbered) value.
 func (s *Sim) load(pc, addr uint64, precise value.Value, approx bool) value.Value {
-	if s.grid != nil {
-		s.grid.Access(pc, addr, precise, trace.Load, approx, s.thread, s.insts)
+	if s.sink != nil {
+		s.sink.Access(pc, addr, precise, trace.Load, approx, s.thread, s.insts)
 	}
 	s.insts++
 	if s.approx != nil {
@@ -309,8 +320,8 @@ func (s *Sim) LoadInt(pc, addr uint64, precise int64, approx bool) int64 {
 // Store implements Memory. Stores are never approximated; misses
 // write-allocate.
 func (s *Sim) Store(pc, addr uint64) {
-	if s.grid != nil {
-		s.grid.Access(pc, addr, value.Value{}, trace.Store, false, s.thread, s.insts)
+	if s.sink != nil {
+		s.sink.Access(pc, addr, value.Value{}, trace.Store, false, s.thread, s.insts)
 	}
 	s.insts++
 	s.stores++

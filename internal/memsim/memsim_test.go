@@ -166,7 +166,7 @@ func TestTraceCapture(t *testing.T) {
 	s := New(testConfig(AttachNone))
 	var buf bytes.Buffer
 	gw := trace.NewGridWriter(&buf, "unit", "k", 1)
-	s.SetGridCapture(gw)
+	s.SetCapture(gw)
 	s.SetThread(2)
 	s.Tick(5)
 	s.LoadFloat(0x400, 0x1000, 1.5, true)

@@ -39,8 +39,8 @@ const (
 	// RouteFooter marks counters read straight from a recorded stream's
 	// footer; no simulation at all.
 	RouteFooter Route = "footer"
-	// RouteReplay marks a point simulated (or streamed, phase 2) from a
-	// recorded annotated stream; no kernel arithmetic.
+	// RouteReplay marks a point simulated from a recorded annotated
+	// stream; no kernel arithmetic.
 	RouteReplay Route = "replay"
 	// RouteExec marks a full kernel execution.
 	RouteExec Route = "exec"
@@ -117,7 +117,7 @@ type Cost struct {
 }
 
 // CostStats is a snapshot of the ledger's volatile decode/stream
-// accounting, fed by memsim.Replay and fullsys.Decode.
+// accounting, fed by memsim.Replay, fullsys.Capture and fullsys.Decode.
 type CostStats struct {
 	// DecodePasses counts grid decode passes driven through
 	// memsim.Replay while the ledger was active.
@@ -131,9 +131,10 @@ type CostStats struct {
 	// ReplaySims counts per-point simulators driven by the passes (one
 	// pass fans each access out to every pending design point).
 	ReplaySims uint64
-	// StreamedChunks / StreamedAccesses count what phase 2 decoded for
-	// the full-system model (fullsys.Decode).
-	StreamedChunks   uint64
+	// StreamedBlocks / StreamedAccesses count the blocks and accesses of
+	// the streams filed for the full-system model (fullsys.Capture and
+	// fullsys.Decode).
+	StreamedBlocks   uint64
 	StreamedAccesses uint64
 }
 
@@ -170,7 +171,7 @@ type Ledger struct {
 	decodedAccesses atomic.Uint64
 	decodedBytes    atomic.Uint64
 	replaySims      atomic.Uint64
-	streamedChunks  atomic.Uint64
+	streamedBlocks  atomic.Uint64
 	streamedAccs    atomic.Uint64
 }
 
@@ -278,12 +279,13 @@ func (l *Ledger) AddDecodedBytes(n uint64) {
 	l.decodedBytes.Add(n)
 }
 
-// AddStream accounts one phase-2 decode (fullsys.Decode).
-func (l *Ledger) AddStream(chunks, accesses uint64) {
+// AddStream accounts one stream filed for phase 2 (fullsys.Capture or
+// fullsys.Decode): its blocks and accesses.
+func (l *Ledger) AddStream(blocks, accesses uint64) {
 	if l == nil {
 		return
 	}
-	l.streamedChunks.Add(chunks)
+	l.streamedBlocks.Add(blocks)
 	l.streamedAccs.Add(accesses)
 }
 
@@ -298,7 +300,7 @@ func (l *Ledger) Costs() CostStats {
 		DecodedAccesses:  l.decodedAccesses.Load(),
 		DecodedBytes:     l.decodedBytes.Load(),
 		ReplaySims:       l.replaySims.Load(),
-		StreamedChunks:   l.streamedChunks.Load(),
+		StreamedBlocks:   l.streamedBlocks.Load(),
 		StreamedAccesses: l.streamedAccs.Load(),
 	}
 }

@@ -32,7 +32,7 @@ func runBatchScenario(t *testing.T, att memsim.Attachment, batched bool) batchOu
 	sim := memsim.New(cfg)
 	var rec bytes.Buffer
 	gw := trace.NewGridWriter(&rec, "batch-scenario", "k", 99)
-	sim.SetGridCapture(gw)
+	sim.SetCapture(gw)
 
 	arena := NewArena()
 	const n = 4096

@@ -193,7 +193,7 @@ func Metrics(includeVolatile bool) MetricsSnapshot {
 	return obs.Default().Snapshot(includeVolatile)
 }
 
-// RunFullSystem records a workload's precise 4-thread access stream in
+// RunFullSystem captures a workload's precise 4-thread access stream in
 // memory and replays it through the phase-2 full-system model under cfg.
 func RunFullSystem(w Workload, seed uint64, cfg SystemConfig) (SystemResult, error) {
 	return experiments.RunFullSystem(w, seed, cfg)
