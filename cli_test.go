@@ -8,7 +8,6 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
-	"slices"
 	"strings"
 	"testing"
 
@@ -21,11 +20,13 @@ import (
 var (
 	cliBin = map[string]string{}
 	cliDir string
+	// bundles are the run bundles observedFig12 wrote, kept in cliDir.
+	bundles [2]string
 )
 
-// TestMain removes the directory buildCLI built the commands into, and the
-// per-process trace store of the figures this package runs in-process,
-// once every test has run.
+// TestMain removes the directory buildCLI built the commands (and
+// observedFig12 its bundles) into, and the per-process trace store of the
+// figures this package runs in-process, once every test has run.
 func TestMain(m *testing.M) {
 	code := m.Run()
 	if cliDir != "" {
@@ -114,7 +115,7 @@ func TestLvaexpUnknownExperiment(t *testing.T) {
 	}{
 		{[]string{"nosuch"}, `lvaexp: unknown experiment "nosuch"`},
 		{[]string{"-format", "xml", "table1"}, `lvaexp: unknown format "xml"`},
-		{[]string{"-metrics", unwritable, "fig12"}, "lvaexp: -metrics: open " + unwritable},
+		{[]string{"-observe", unwritable, "fig12"}, "lvaexp: -observe: open " + unwritable},
 	}
 	for _, c := range cases {
 		store := t.TempDir()
@@ -293,47 +294,77 @@ func TestLvadesignCSV(t *testing.T) {
 	}
 }
 
-// TestLvaexpMetricsSnapshotStable runs the same experiment twice in fresh
-// processes and requires byte-identical -metrics output: the deterministic
-// snapshot is part of the repo's reproducibility surface.
-func TestLvaexpMetricsSnapshotStable(t *testing.T) {
+// observedFig12 runs lvaexp -observe fig12 in two fresh processes, once
+// per test binary, and returns the two bundles' paths.
+func observedFig12(t *testing.T) [2]string {
+	t.Helper()
 	bin := buildCLI(t, "lvaexp")
-	dir := t.TempDir()
-	paths := [2]string{filepath.Join(dir, "a.json"), filepath.Join(dir, "b.json")}
-	var snaps [2][]byte
-	for i, p := range paths {
-		if out, stderr, err := runCLI(t, bin, "-metrics", p, "fig12"); err != nil {
-			t.Fatalf("lvaexp -metrics: %v\n%s%s", err, out, stderr)
+	if bundles[0] != "" {
+		return bundles
+	}
+	var paths [2]string
+	for i, name := range []string{"A.json", "B.json"} {
+		paths[i] = filepath.Join(cliDir, name)
+		if out, stderr, err := runCLI(t, bin, "-observe", paths[i], "fig12"); err != nil {
+			t.Fatalf("lvaexp -observe: %v\n%s%s", err, out, stderr)
 		}
-		b, err := os.ReadFile(p)
-		if err != nil {
-			t.Fatal(err)
+	}
+	bundles = paths
+	return bundles
+}
+
+// readBundle reads a run bundle as raw top-level sections.
+func readBundle(t *testing.T, path string) map[string]json.RawMessage {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var raw map[string]json.RawMessage
+	if err := json.Unmarshal(b, &raw); err != nil {
+		t.Fatalf("%s is not a JSON object: %v", path, err)
+	}
+	return raw
+}
+
+// TestLvaexpMetricsSnapshotStable runs the same experiment twice in fresh
+// processes and requires their run bundles to be byte-identical outside
+// the timeline: the deterministic sections are part of the repo's
+// reproducibility surface. The metrics section must have counted.
+func TestLvaexpMetricsSnapshotStable(t *testing.T) {
+	paths := observedFig12(t)
+	a, b := readBundle(t, paths[0]), readBundle(t, paths[1])
+	for _, name := range []string{"displayTimeUnit", "version", "code", "metrics", "attribution", "provenance"} {
+		if a[name] == nil {
+			t.Errorf("bundle has no %s section", name)
 		}
-		snaps[i] = b
 	}
-	if !bytes.Equal(snaps[0], snaps[1]) {
-		t.Fatalf("-metrics output not byte-stable across runs:\n%s\n---\n%s", snaps[0], snaps[1])
+	if len(a) != len(b) {
+		t.Errorf("the two bundles have %d and %d sections", len(a), len(b))
 	}
-	var snap struct {
-		Metrics []struct {
-			Name  string `json:"name"`
-			Count uint64 `json:"count"`
-		} `json:"metrics"`
+	for name, sec := range a {
+		if name != "traceEvents" && !bytes.Equal(sec, b[name]) {
+			t.Errorf("bundle section %s not byte-stable across runs:\n%.300s\n---\n%.300s", name, sec, b[name])
+		}
 	}
-	if err := json.Unmarshal(snaps[0], &snap); err != nil {
-		t.Fatalf("snapshot is not JSON: %v\n%s", err, snaps[0])
+	var metrics []struct {
+		Name  string `json:"name"`
+		Count uint64 `json:"count"`
+	}
+	if err := json.Unmarshal(a["metrics"], &metrics); err != nil {
+		t.Fatalf("metrics section is not a metric list: %v\n%s", err, a["metrics"])
 	}
 	counts := map[string]uint64{}
-	for _, m := range snap.Metrics {
+	for _, m := range metrics {
 		counts[m.Name] = m.Count
 	}
 	for _, name := range []string{"memsim_load_misses", "core_trainings", "runcache_simulated"} {
 		if counts[name] == 0 {
-			t.Errorf("snapshot metric %s is zero:\n%s", name, snaps[0])
+			t.Errorf("metric %s is zero:\n%s", name, a["metrics"])
 		}
 	}
 	if _, volatile := counts["run_wall_seconds"]; volatile {
-		t.Error("deterministic snapshot leaked a volatile timing histogram")
+		t.Error("deterministic metrics section leaked a volatile timing histogram")
 	}
 }
 
@@ -363,18 +394,14 @@ func TestCLIsRemoveTheirTraceStore(t *testing.T) {
 	}
 }
 
-// TestLvareportMetricsSection feeds an lvaexp snapshot to lvareport and
-// checks the rendered Metrics table.
+// TestLvareportMetricsSection renders an lvaexp bundle with lvareport and
+// checks the Metrics table.
 func TestLvareportMetricsSection(t *testing.T) {
-	lvaexp := buildCLI(t, "lvaexp")
-	lvareport := buildCLI(t, "lvareport")
-	p := filepath.Join(t.TempDir(), "metrics.json")
-	if out, stderr, err := runCLI(t, lvaexp, "-metrics", p, "fig12"); err != nil {
-		t.Fatalf("lvaexp -metrics: %v\n%s%s", err, out, stderr)
-	}
-	out, _, err := runCLI(t, lvareport, "-only", "fig12", "-metrics", p)
+	paths := observedFig12(t)
+	bin := buildCLI(t, "lvareport")
+	out, stderr, err := runCLI(t, bin, "-observe", paths[0])
 	if err != nil {
-		t.Fatalf("lvareport -metrics: %v", err)
+		t.Fatalf("lvareport -observe: %v\n%s", err, stderr)
 	}
 	for _, want := range []string{"## Metrics", "| metric | kind | value |", "memsim_load_misses"} {
 		if !strings.Contains(out, want) {
@@ -383,43 +410,38 @@ func TestLvareportMetricsSection(t *testing.T) {
 	}
 }
 
-// TestLvaexpTimelineAndAttr drives the flight-recorder flags end to end,
-// with every observer on in one process: -timeline must write
-// Perfetto-loadable Chrome trace-event JSON, -attr a byte-stable
-// attribution snapshot with per-site and per-epoch records, and -manifest
-// a provenance manifest that lvareport -provenance reconciles.
+// TestLvaexpTimelineAndAttr checks the bundle's observers end to end, all
+// on in one process: a Perfetto-loadable Chrome trace-event timeline with
+// the figure's span, attribution with per-site and per-epoch records, and
+// provenance that lvareport -observe reconciles.
 func TestLvaexpTimelineAndAttr(t *testing.T) {
-	bin := buildCLI(t, "lvaexp")
-	dir := t.TempDir()
-	tlPath := filepath.Join(dir, "timeline.json")
-	attrPaths := [2]string{filepath.Join(dir, "attr-a.json"), filepath.Join(dir, "attr-b.json")}
-	provPath := filepath.Join(dir, "prov.ndjson")
+	path := observedFig12(t)[0]
+	checkProvenanceAudit(t, path)
 
-	if out, stderr, err := runCLI(t, bin, "-timeline", tlPath, "-attr", attrPaths[0],
-		"-manifest", provPath, "-metrics", filepath.Join(dir, "metrics.json"), "fig12"); err != nil {
-		t.Fatalf("lvaexp -timeline -attr -manifest -metrics: %v\n%s%s", err, out, stderr)
-	}
-	checkProvenanceAudit(t, provPath)
-
-	tl, err := os.ReadFile(tlPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var trace struct {
+	var bundle struct {
 		TraceEvents []struct {
 			Ph   string `json:"ph"`
 			Name string `json:"name"`
 		} `json:"traceEvents"`
 		DisplayTimeUnit string `json:"displayTimeUnit"`
+		Attribution     []struct {
+			Scope  string            `json:"scope"`
+			Sites  []json.RawMessage `json:"sites"`
+			Epochs []json.RawMessage `json:"epochs"`
+		} `json:"attribution"`
 	}
-	if err := json.Unmarshal(tl, &trace); err != nil {
-		t.Fatalf("-timeline output is not trace-event JSON: %v\n%.300s", err, tl)
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if trace.DisplayTimeUnit != "ms" || len(trace.TraceEvents) == 0 {
-		t.Fatalf("unexpected trace document: unit=%q events=%d", trace.DisplayTimeUnit, len(trace.TraceEvents))
+	if err := json.Unmarshal(b, &bundle); err != nil {
+		t.Fatalf("bundle is not trace-event JSON: %v\n%.300s", err, b)
+	}
+	if bundle.DisplayTimeUnit != "ms" || len(bundle.TraceEvents) == 0 {
+		t.Fatalf("unexpected trace document: unit=%q events=%d", bundle.DisplayTimeUnit, len(bundle.TraceEvents))
 	}
 	var figSpan bool
-	for _, e := range trace.TraceEvents {
+	for _, e := range bundle.TraceEvents {
 		if e.Ph == "X" && e.Name == "fig12" {
 			figSpan = true
 		}
@@ -428,107 +450,138 @@ func TestLvaexpTimelineAndAttr(t *testing.T) {
 		t.Error("timeline missing the fig12 figure span")
 	}
 
-	// Attribution: sites + epochs present, and byte-stable across processes.
-	if out, stderr, err := runCLI(t, bin, "-attr", attrPaths[1], "fig12"); err != nil {
-		t.Fatalf("lvaexp -attr (second run): %v\n%s%s", err, out, stderr)
-	}
-	var snaps [2][]byte
-	for i, p := range attrPaths {
-		b, err := os.ReadFile(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		snaps[i] = b
-	}
-	if !bytes.Equal(snaps[0], snaps[1]) {
-		t.Error("-attr output not byte-stable across runs")
-	}
-	var snap struct {
-		Scopes []struct {
-			Scope  string            `json:"scope"`
-			Sites  []json.RawMessage `json:"sites"`
-			Epochs []json.RawMessage `json:"epochs"`
-		} `json:"scopes"`
-	}
-	if err := json.Unmarshal(snaps[0], &snap); err != nil {
-		t.Fatalf("-attr output is not a snapshot: %v", err)
-	}
-	if len(snap.Scopes) == 0 {
-		t.Fatal("-attr snapshot has no scopes")
+	if len(bundle.Attribution) == 0 {
+		t.Fatal("bundle has no attribution scopes")
 	}
 	var sites, epochs int
-	for _, sc := range snap.Scopes {
+	for _, sc := range bundle.Attribution {
 		sites += len(sc.Sites)
 		epochs += len(sc.Epochs)
 	}
 	if sites == 0 || epochs == 0 {
-		t.Fatalf("-attr snapshot has %d sites and %d epochs, want both > 0", sites, epochs)
+		t.Fatalf("attribution has %d sites and %d epochs, want both > 0", sites, epochs)
 	}
 }
 
-// checkProvenanceAudit requires lvareport -provenance to reconcile the
-// manifest at path, and to reject a copy missing one record line with
+// editBundle writes a copy of the bundle at path with edit applied to its
+// decoded JSON and returns the copy's path.
+func editBundle(t *testing.T, path string, edit func(doc map[string]any)) string {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc map[string]any
+	if err := json.Unmarshal(b, &doc); err != nil {
+		t.Fatal(err)
+	}
+	edit(doc)
+	if b, err = json.Marshal(doc); err != nil {
+		t.Fatal(err)
+	}
+	out := filepath.Join(t.TempDir(), "edited.json")
+	if err := os.WriteFile(out, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// checkProvenanceAudit requires lvareport -observe to reconcile the
+// bundle at path, and to reject a copy missing one provenance record with
 // exit status 1 and a provenance message, never a panic.
 func checkProvenanceAudit(t *testing.T, path string) {
 	t.Helper()
 	bin := buildCLI(t, "lvareport")
-	out, stderr, err := runCLI(t, bin, "-provenance", path)
+	out, stderr, err := runCLI(t, bin, "-observe", path)
 	if err != nil || !strings.Contains(out, "Route counts reconcile with the engine counters") {
-		t.Fatalf("lvareport -provenance: %v\n%s%s", err, out, stderr)
+		t.Fatalf("lvareport -observe: %v\n%s%s", err, out, stderr)
 	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := regexp.MustCompile(`(?m)^\{"kind":"record".*\n`).FindIndex(data)
-	if rec == nil {
-		t.Fatalf("manifest has no record line:\n%.500s", data)
-	}
-	short := filepath.Join(t.TempDir(), "dropped.ndjson")
-	if err := os.WriteFile(short, slices.Concat(data[:rec[0]], data[rec[1]:]), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, stderr, err = runCLI(t, bin, "-provenance", short)
+	short := editBundle(t, path, func(doc map[string]any) {
+		p := doc["provenance"].(map[string]any)
+		recs := p["records"].([]any)
+		if len(recs) == 0 {
+			t.Fatal("bundle has no provenance record")
+		}
+		p["records"] = recs[1:]
+	})
+	_, stderr, err = runCLI(t, bin, "-observe", short)
 	var exit *exec.ExitError
 	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
-		t.Errorf("manifest missing a record: err = %v, want exit status 1", err)
+		t.Errorf("bundle missing a provenance record: err = %v, want exit status 1", err)
 	}
 	if !strings.Contains(stderr, "lvareport: provenance:") || strings.Contains(stderr, "panic:") {
-		t.Errorf("manifest missing a record: stderr = %q, want an lvareport: provenance: message and no panic", stderr)
+		t.Errorf("bundle missing a provenance record: stderr = %q, want an lvareport: provenance: message and no panic", stderr)
 	}
 }
 
-// TestLvareportAttrSection checks the rendered attribution report.
+// TestLvareportAttrSection checks the rendered attribution section, and
+// that a scope whose epoch ring dropped epochs says so.
 func TestLvareportAttrSection(t *testing.T) {
+	path := observedFig12(t)[0]
 	bin := buildCLI(t, "lvareport")
-	out, _, err := runCLI(t, bin, "-only", "fig12", "-attr")
+	out, stderr, err := runCLI(t, bin, "-observe", path)
 	if err != nil {
-		t.Fatalf("lvareport -attr: %v", err)
+		t.Fatalf("lvareport -observe: %v\n%s", err, stderr)
 	}
 	for _, want := range []string{
 		"## Approximation attribution",
 		"| pc | loads | misses | covered | mean rel err | max rel err | conf +/- |",
 		"/lva/",
+		"Error drift",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("report missing %q:\n%.2000s", want, out)
 		}
 	}
+	if strings.Contains(out, "Truncated:") {
+		t.Errorf("fig12's scopes dropped no epoch, yet the report says one did:\n%.2000s", out)
+	}
+
+	dropped := editBundle(t, path, func(doc map[string]any) {
+		sc := doc["attribution"].([]any)[0].(map[string]any)
+		sc["dropped_epochs"] = 3
+		sc["total_epochs"] = sc["total_epochs"].(float64) + 3
+	})
+	out, stderr, err = runCLI(t, bin, "-observe", dropped)
+	if err != nil {
+		t.Fatalf("lvareport -observe: %v\n%s", err, stderr)
+	}
+	if !regexp.MustCompile(`Truncated: the epoch ring dropped the oldest 3 of [0-9]+ epochs\.`).MatchString(out) {
+		t.Errorf("report does not show the dropped epochs:\n%.2000s", out)
+	}
 }
 
 // TestLvareportRejectsBadArguments checks that lvareport validates every
-// -only id and reads -metrics before it runs or prints anything: a bad
-// invocation exits 2 with its message and an empty report.
+// -only id, and reads its whole -observe bundle, before it runs or prints
+// anything: a bad invocation exits 2 with its message and an empty
+// report.
 func TestLvareportRejectsBadArguments(t *testing.T) {
 	bin := buildCLI(t, "lvareport")
-	missing := filepath.Join(t.TempDir(), "missing.json")
+	dir := t.TempDir()
+	missing := filepath.Join(dir, "missing.json")
+	good, err := os.ReadFile(observedFig12(t)[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	truncated := filepath.Join(dir, "truncated.json")
+	wrongVersion := filepath.Join(dir, "version.json")
+	for path, b := range map[string][]byte{
+		truncated:    good[:len(good)/2],
+		wrongVersion: bytes.Replace(good, []byte(`"version": 1,`), []byte(`"version": 99,`), 1),
+	} {
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
 	cases := []struct {
 		args []string
 		want string
 	}{
 		{[]string{"-only", "table1,nosuch"}, `lvareport: unknown experiment "nosuch"`},
-		{[]string{"-only", "table1", "-metrics", missing}, "lvareport: open " + missing},
-		{[]string{"-metrics", missing}, "lvareport: open " + missing},
+		{[]string{"-observe", missing}, "lvareport: open " + missing},
+		{[]string{"-observe", truncated}, "lvareport: " + truncated + ": run bundle: unexpected end of JSON input"},
+		{[]string{"-observe", wrongVersion}, "lvareport: " + wrongVersion + ": run bundle: version 99, want 1"},
+		{[]string{"-observe", observedFig12(t)[0], "-only", "fig12"}, "lvareport: -observe renders a finished run"},
 	}
 	for _, c := range cases {
 		out, stderr, err := runCLI(t, bin, c.args...)

@@ -1,12 +1,16 @@
 // Command lvaexp regenerates the paper's tables and figures. Each
 // experiment id maps to one table/figure of the evaluation (§VI):
 //
-//	lvaexp table1         # Table I
-//	lvaexp fig4 fig5      # selected figures
-//	lvaexp all            # everything (phase 1 + full-system)
+//	lvaexp table1                  # Table I
+//	lvaexp fig4 fig5               # selected figures
+//	lvaexp all                     # everything (phase 1 + full-system)
+//	lvaexp -observe run.json fig12 # also write the run bundle
 //
 // The output rows/series mirror what the paper plots; EXPERIMENTS.md
-// records the paper-vs-measured comparison.
+// records the paper-vs-measured comparison. -observe turns every observer
+// on and writes one JSON run bundle: a Chrome trace-event timeline (it
+// opens in Perfetto) followed by the deterministic metrics, per-site
+// attribution and provenance sections that lvareport -observe renders.
 package main
 
 import (
@@ -17,7 +21,6 @@ import (
 
 	"lva/internal/experiments"
 	"lva/internal/obs"
-	"lva/internal/obs/attr"
 )
 
 func main() {
@@ -28,13 +31,9 @@ func main() {
 	}
 	verbose := flag.Bool("v", false, "print total timing and run-cache statistics")
 	format := flag.String("format", "table", "output format: table|csv|json|chart")
-	metricsOut := flag.String("metrics", "", "write a deterministic metrics snapshot (JSON) to this file")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof and expvar on this address (e.g. localhost:6060)")
 	progress := flag.Bool("progress", false, "print live per-figure progress to stderr")
-	timelineOut := flag.String("timeline", "", "capture a Chrome trace-event run timeline (load in Perfetto) to this file")
-	attrOut := flag.String("attr", "", "write a per-site/per-epoch attribution snapshot (JSON) to this file")
-	attrWindow := flag.Int("attr-window", 0, "epoch window in annotated loads for -attr time-series (0 = default, <0 = sites only)")
-	manifestOut := flag.String("manifest", "", "record run provenance and write the NDJSON manifest to this file")
+	observeOut := flag.String("observe", "", "turn every observer on and write the run bundle (JSON: timeline, metrics, attribution, provenance) to `file`")
 	flag.Parse()
 
 	// Reject bad arguments before anything simulates or records: a run
@@ -65,23 +64,18 @@ func main() {
 			os.Exit(2)
 		}
 	}
-	metricsF := create("metrics", *metricsOut)
-	timelineF := create("timeline", *timelineOut)
-	attrF := create("attr", *attrOut)
-	manifestF := create("manifest", *manifestOut)
-
-	// -attr enables the flight recorder before the first run.
-	if *attrOut != "" {
-		if *attrWindow != 0 {
-			attr.SetEpochWindow(*attrWindow)
+	// The bundle file is created, and the observers turned on, before
+	// anything simulates: an unwritable path is an argument error rather
+	// than a failure after the whole run.
+	var bundle *os.File
+	if *observeOut != "" {
+		f, err := os.Create(*observeOut)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "lvaexp: -observe: %v\n", err)
+			os.Exit(2)
 		}
-		attr.SetEnabled(true)
-	}
-	if *timelineOut != "" {
-		experiments.StartTimeline()
-	}
-	if *manifestOut != "" {
-		experiments.EnableProvenance()
+		bundle = f
+		experiments.Observe() // the observers stay on until the process exits
 	}
 	if *pprofAddr != "" {
 		addr, err := obs.ServeDebug(*pprofAddr)
@@ -131,21 +125,15 @@ func main() {
 		fmt.Fprintf(os.Stderr, "lvaexp: grid traces: %d recorded, %d point(s) footer-served, %d replayed in %d pass(es) (+%d memo hits), %d executed; %d stream(s) recaptured by a second kernel execution\n",
 			t.Recordings, t.HeaderHits, t.ReplayPoints, t.ReplayPasses, t.ReplayHits, t.ExecPoints, t.Recaptures)
 	}
-	if metricsF != nil {
-		b, err := obs.Default().Snapshot(false).JSON()
-		finish(metricsF, "metrics", b, err)
-	}
-	if timelineF != nil {
-		b, err := experiments.TimelineJSON()
-		finish(timelineF, "timeline", b, err)
-		experiments.StopTimeline()
-	}
-	if attrF != nil {
-		b, err := attr.TakeSnapshot().JSON()
-		finish(attrF, "attribution", b, err)
-	}
-	if manifestF != nil {
-		finish(manifestF, "manifest", nil, experiments.WriteProvManifest(manifestF))
+	if bundle != nil {
+		err := experiments.WriteObservation(bundle)
+		if cerr := bundle.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "lvaexp: write run bundle:", err)
+			exit(1)
+		}
 	}
 	exit(0)
 }
@@ -154,38 +142,8 @@ func main() {
 // LVA_TRACE_DIR the run records into a per-process directory under
 // $TMPDIR; ResetRunCache deletes it (and leaves a named store alone), so
 // it does not outlive the process. Call it only after the outputs that
-// read the engine counters (-v, -manifest) are written.
+// read the engine counters (-v, -observe) are written.
 func exit(code int) {
 	experiments.ResetRunCache()
 	os.Exit(code)
-}
-
-// create opens the file an output flag names, or returns nil when the flag
-// is unset. It runs before anything simulates, so an unwritable path is an
-// argument error rather than a failure after the whole run.
-func create(flagName, path string) *os.File {
-	if path == "" {
-		return nil
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "lvaexp: -%s: %v\n", flagName, err)
-		os.Exit(2)
-	}
-	return f
-}
-
-// finish writes b to f and closes it; err is the error from producing b
-// (or from writing f directly, with b nil).
-func finish(f *os.File, what string, b []byte, err error) {
-	if err == nil {
-		_, err = f.Write(b)
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "lvaexp: write %s: %v\n", what, err)
-		exit(1)
-	}
 }

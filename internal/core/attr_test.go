@@ -14,7 +14,7 @@ func TestAttributionTrainCounts(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.ValueDelay = 0 // commit trainings immediately
 	a := New(cfg)
-	rec := attr.NewRecorder("core-test")
+	rec := attr.NewRecorder("core-test", attr.DefaultEpochWindow)
 	a.SetAttribution(rec)
 
 	const pc = uint64(0x420)
@@ -51,7 +51,7 @@ func TestAttributionDelayedTraining(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.ValueDelay = 4
 	a := New(cfg)
-	rec := attr.NewRecorder("core-delay")
+	rec := attr.NewRecorder("core-delay", attr.DefaultEpochWindow)
 	a.SetAttribution(rec)
 
 	pcs := []uint64{0x500, 0x504, 0x508}
@@ -84,7 +84,7 @@ func TestAttributionNilRecorderUnchanged(t *testing.T) {
 	run := func(wire bool) Stats {
 		a := New(DefaultConfig())
 		if wire {
-			a.SetAttribution(attr.NewRecorder("seam"))
+			a.SetAttribution(attr.NewRecorder("seam", attr.DefaultEpochWindow))
 		}
 		for i := 0; i < 500; i++ {
 			a.OnMiss(uint64(0x400+i%7*4), value.FromFloat(float64(i%11)))

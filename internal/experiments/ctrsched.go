@@ -3,7 +3,6 @@ package experiments
 import (
 	"bufio"
 	"os"
-	"time"
 
 	"lva/internal/core"
 	"lva/internal/memsim"
@@ -112,12 +111,12 @@ func (b *batch) scheduleCtrs() {
 	if !replayEnabled() {
 		for i := range reqs {
 			r := &reqs[i]
-			b.addQ(r.label, func(queued time.Duration) {
-				pc := provBegin(queued)
+			b.add(r.label, func() {
+				pc := provBegin()
 				*r.out = simulate(r.dp).Sim
 				if pc.on() {
 					pc.point(fig, r.label, "run", prov.RouteExec, prov.CounterNone,
-						provWhyReplayOff, r.dp, nil, provStagesRunExec, "")
+						provWhyReplayOff, r.dp, nil, provStagesRunExec)
 					pc.stage("exec "+fig+"/"+r.label, "", "", map[string]any{"route": "exec"})
 				}
 			})
@@ -150,13 +149,13 @@ func (b *batch) scheduleCtrs() {
 			}
 			rgroups[name] = append(rgroups[name], r)
 		default:
-			b.addQ(r.label, func(queued time.Duration) {
-				pc := provBegin(queued)
+			b.add(r.label, func() {
+				pc := provBegin()
 				*r.out = simulate(r.dp).Sim
 				traceStats.execPoints.Add(1)
 				if pc.on() {
 					pc.point(fig, r.label, "ctr", prov.RouteExec, prov.CounterExec,
-						r.why, r.dp, nil, provStagesCtrExec, "")
+						r.why, r.dp, nil, provStagesCtrExec)
 					pc.stage("exec "+fig+"/"+r.label, "", "", map[string]any{"route": "exec", "why": r.why})
 				}
 			})
@@ -164,26 +163,26 @@ func (b *batch) scheduleCtrs() {
 	}
 	for _, k := range horder {
 		group := hgroups[k]
-		b.addQ("grid/"+k.name+"/"+k.kind, func(queued time.Duration) { serveHeaders(fig, group, queued) })
+		b.add("grid/"+k.name+"/"+k.kind, func() { serveHeaders(fig, group) })
 	}
 	for _, name := range rorder {
 		group := rgroups[name]
-		b.addQ("grid/"+name+"/replay", func(queued time.Duration) { serveReplay(fig, group, queued) })
+		b.add("grid/"+name+"/replay", func() { serveReplay(fig, group) })
 	}
 }
 
 // serveHeaders resolves a header group from its recorded stream's footer
 // counters. ensureStream falls back to (cached, capturing) execution when
 // no recording exists yet, so res is always the exact design-point result.
-func serveHeaders(fig string, group []*ctrReq, queued time.Duration) {
-	pc := provBegin(queued)
+func serveHeaders(fig string, group []*ctrReq) {
+	pc := provBegin()
 	dp := group[0].dp
 	st := ensureStream(dp)
 	for _, r := range group {
 		*r.out = st.res
 		traceStats.headerHits.Add(1)
 		pc.point(fig, r.label, "ctr", prov.RouteFooter, prov.CounterFooter,
-			r.why, r.dp, st, provStagesFooter, "")
+			r.why, r.dp, st, provStagesFooter)
 	}
 	if pc.on() {
 		pc.stage("footer "+streamKind(dp)+"/"+dp.w.Name(), "f", st.hdr.Key,
@@ -197,9 +196,9 @@ func serveHeaders(fig string, group []*ctrReq, queued time.Duration) {
 // arithmetic. Points an earlier pass already replayed are served from the
 // replay memo and skip the decode entirely. Any failure (no recording,
 // disk or decode error) falls back to executing every point.
-func serveReplay(fig string, group []*ctrReq, queued time.Duration) {
+func serveReplay(fig string, group []*ctrReq) {
 	src := precisePoint(group[0].dp.w, group[0].dp.seed)
-	pc := provBegin(queued)
+	pc := provBegin()
 	var pst *gridStream
 	if pc.on() {
 		// Resolve the artifact identity up front so memo-served points
@@ -214,7 +213,7 @@ func serveReplay(fig string, group []*ctrReq, queued time.Duration) {
 			*r.out = res
 			traceStats.replayHits.Add(1)
 			pc.point(fig, r.label, "ctr", prov.RouteReplay, prov.CounterReplayed,
-				r.why, r.dp, pst, provStagesReplay, "memo")
+				r.why, r.dp, pst, provStagesReplay)
 			continue
 		}
 		pending = append(pending, r)
@@ -233,7 +232,7 @@ func serveReplay(fig string, group []*ctrReq, queued time.Duration) {
 			*r.out = simulate(r.dp).Sim
 			traceStats.execPoints.Add(1)
 			pc.point(fig, r.label, "ctr", prov.RouteExec, prov.CounterExec,
-				why, r.dp, nil, provStagesCtrExec, "")
+				why, r.dp, nil, provStagesCtrExec)
 		}
 		if pc.on() {
 			pc.stage("exec "+fig+"/"+src.w.Name(), "", "",
@@ -275,12 +274,11 @@ func serveReplay(fig string, group []*ctrReq, queued time.Duration) {
 		observed[i].publish()
 		traceStats.replayPoints.Add(1)
 		pc.point(fig, r.label, "ctr", prov.RouteReplay, prov.CounterReplayed,
-			r.why, r.dp, st, provStagesReplay, "fresh")
+			r.why, r.dp, st, provStagesReplay)
 	}
 	traceStats.replayPasses.Add(1)
 	if pc.on() {
 		_, _, decodedBytes := gr.DecodedStats()
-		pc.l.AddDecodedBytes(decodedBytes)
 		pc.stage("replay "+src.w.Name(), "f", st.hdr.Key,
 			map[string]any{"route": "replay", "figure": fig, "points": len(group), "bytes_decoded": decodedBytes})
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strconv"
 	"sync"
-	"time"
 
 	"lva/internal/fullsys"
 	"lva/internal/obs/prov"
@@ -133,8 +132,8 @@ func runFullsys(w workloads.Workload, cfg fullsys.Config, st *fullsys.Stream, ce
 	if cfg.Approx != nil {
 		label = "lva-d" + strconv.Itoa(cfg.Approx.Degree)
 	}
-	gatedQ("fullsys/"+w.Name()+"/"+label, func(queued time.Duration) {
-		pc := provBegin(queued)
+	gated("fullsys/"+w.Name()+"/"+label, func() {
+		pc := provBegin()
 		r, err := fullsys.New(cfg).Run(st)
 		if err != nil {
 			panic(fmt.Sprintf("experiments: phase-2 run of %s/%s: %v", w.Name(), label, err))
@@ -145,7 +144,7 @@ func runFullsys(w workloads.Workload, cfg fullsys.Config, st *fullsys.Stream, ce
 		}
 		name := w.Name() + "/" + label
 		pc.point("fullsys", name, "fullsys", prov.RouteExec, prov.CounterNone, provWhyCapture,
-			fullsysPoint(w, cfg, DefaultSeed), nil, provStagesRunExec, "")
+			fullsysPoint(w, cfg, DefaultSeed), nil, provStagesRunExec)
 		pc.stage("fullsys "+name, "", "",
 			map[string]any{"route": string(prov.RouteExec), "workload": w.Name()})
 	})

@@ -79,7 +79,7 @@ type observedSim struct {
 func observe(dp designPoint) observedSim {
 	o := observedSim{Sim: memsim.New(dp.mem)}
 	if attr.Enabled() && dp.mem.Attach != memsim.AttachNone {
-		o.rec = attr.NewRecorder(fmt.Sprintf("%s/%s/%s", dp.w.Name(), dp.mem.Attach, dp.hash()))
+		o.rec = attr.NewRecorder(fmt.Sprintf("%s/%s/%s", dp.w.Name(), dp.mem.Attach, dp.hash()), attr.DefaultEpochWindow)
 		o.SetAttribution(o.rec)
 	}
 	return o

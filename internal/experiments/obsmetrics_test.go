@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"encoding/json"
 	"testing"
 
 	"lva/internal/memsim"
@@ -70,8 +71,8 @@ func TestMetricsSnapshotDeterministic(t *testing.T) {
 	}
 
 	// Sanity: the simulator and engine counters actually counted.
-	snap, err := obs.ParseSnapshot(p1)
-	if err != nil {
+	var snap obs.Snapshot
+	if err := json.Unmarshal(p1, &snap); err != nil {
 		t.Fatal(err)
 	}
 	nonzero := map[string]bool{}

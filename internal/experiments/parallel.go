@@ -75,21 +75,15 @@ func release(slot int) {
 // active it also records a worker span named label on the slot's track,
 // with the queue wait attached.
 func gated(label string, fn func()) {
-	gatedQ(label, func(time.Duration) { fn() })
-}
-
-// gatedQ is gated for callers that want the queue wait (provenance
-// attaches it to the evaluation's cost record).
-func gatedQ(label string, fn func(queued time.Duration)) {
 	slot, wait := admit()
 	defer release(slot)
 	tl := timeline.Load()
 	if tl == nil {
-		fn(wait)
+		fn()
 		return
 	}
 	start := time.Now()
-	fn(wait)
+	fn()
 	tl.span(tlPidWorkers, slot, label, "task", start,
 		map[string]any{"queue_wait_us": wait.Microseconds()})
 }
@@ -97,7 +91,7 @@ func gatedQ(label string, fn func(queued time.Duration)) {
 // task is one labelled simulation point of a batch.
 type task struct {
 	label string
-	fn    func(queued time.Duration)
+	fn    func()
 }
 
 // batch collects the simulation points of one experiment — any number of
@@ -120,11 +114,6 @@ func newBatch(fig string) batch { return batch{fig: fig} }
 
 // add schedules one labelled task for the next run call.
 func (b *batch) add(label string, fn func()) {
-	b.addQ(label, func(time.Duration) { fn() })
-}
-
-// addQ is add for tasks that consume their gate queue wait.
-func (b *batch) addQ(label string, fn func(queued time.Duration)) {
 	b.tasks = append(b.tasks, task{label: label, fn: fn})
 }
 
@@ -138,7 +127,7 @@ func (b *batch) run() {
 		wg.Add(1)
 		go func(t task) {
 			defer wg.Done()
-			gatedQ(b.fig+"/"+t.label, t.fn)
+			gated(b.fig+"/"+t.label, t.fn)
 		}(t)
 	}
 	wg.Wait()
@@ -151,12 +140,12 @@ func (b *batch) run() {
 func (b *batch) runPoint(label string, dp designPoint) *RunResult {
 	out := new(RunResult)
 	fig := b.fig
-	b.addQ(label, func(queued time.Duration) {
-		pc := provBegin(queued)
+	b.add(label, func() {
+		pc := provBegin()
 		*out = simulate(dp)
 		if pc.on() {
 			pc.point(fig, label, "run", prov.RouteExec, prov.CounterNone,
-				provWhyOutputRow, dp, nil, provStagesRunExec, "")
+				provWhyOutputRow, dp, nil, provStagesRunExec)
 			pc.stage("exec "+fig+"/"+label, "", "", map[string]any{"route": "exec"})
 		}
 	})

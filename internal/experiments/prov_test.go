@@ -26,12 +26,12 @@ func TestProvOffIsFree(t *testing.T) {
 	}
 	dp := lvaPoint(workloads.NewCanneal(), core.DefaultConfig(), DefaultSeed)
 	allocs := testing.AllocsPerRun(1000, func() {
-		pc := provBegin(0)
+		pc := provBegin()
 		if pc.on() {
 			t.Error("provCtx on with no ledger")
 		}
 		pc.point("fig4", "lva/canneal", "ctr", prov.RouteExec, prov.CounterNone,
-			provWhyOutputRow, dp, nil, provStagesRunExec, "")
+			provWhyOutputRow, dp, nil, provStagesRunExec)
 		pc.stage("exec fig4/lva/canneal", "", "", nil)
 	})
 	if allocs != 0 {
@@ -39,27 +39,20 @@ func TestProvOffIsFree(t *testing.T) {
 	}
 }
 
-// provManifest renders the active ledger against the live engine counters
-// and parses it back.
+// provManifest writes the observed run's bundle and returns its
+// provenance section, read back, and that section's bytes.
 func provManifest(t *testing.T) ([]byte, *prov.Manifest) {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := WriteProvManifest(&buf); err != nil {
-		t.Fatalf("WriteProvManifest: %v", err)
-	}
-	m, err := prov.ReadManifest(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("ReadManifest: %v", err)
-	}
-	return buf.Bytes(), m
+	o, b := observation(t)
+	return []byte(stableSections(t, b)["provenance"]), &o.Provenance
 }
 
-// TestProvManifestPinnedAndStable runs the three counter figures cold with
-// provenance on and checks the two core manifest contracts: the summary
-// reconciles exactly against the pinned trace-store counters (14
+// TestProvManifestPinnedAndStable runs the three counter figures cold
+// under observation and checks the two core provenance contracts: the
+// summary reconciles exactly against the pinned trace-store counters (14
 // recordings / 35 footer points / 34 replayed / 15 executed — the same
 // numbers TestStreamRecordOnce pins), and a second cold run at a different
-// parallelism level renders byte-identical manifest bytes.
+// parallelism level writes a byte-identical provenance section.
 func TestProvManifestPinnedAndStable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs three figures twice")
@@ -76,8 +69,7 @@ func TestProvManifestPinnedAndStable(t *testing.T) {
 		ResetRunCache()
 		defer ResetRunCache()
 		Parallelism = par
-		EnableProvenance()
-		defer DisableProvenance()
+		defer Observe()()
 		if _, err := RunAll("table1", "fig4", "fig12"); err != nil {
 			t.Fatalf("RunAll: %v", err)
 		}
@@ -89,9 +81,9 @@ func TestProvManifestPinnedAndStable(t *testing.T) {
 	}
 
 	a := run(1)
-	m, err := prov.ReadManifest(bytes.NewReader(a))
-	if err != nil {
-		t.Fatalf("ReadManifest: %v", err)
+	var m prov.Manifest
+	if err := json.Unmarshal(a, &m); err != nil {
+		t.Fatalf("provenance section does not read back: %v", err)
 	}
 	c := m.Summary.Counters
 	if c.Recordings != 14 || c.FooterPoints != 35 || c.ReplayedPoints != 34 || c.ExecPoints != 15 {
@@ -108,14 +100,14 @@ func TestProvManifestPinnedAndStable(t *testing.T) {
 
 	b := run(8)
 	if !bytes.Equal(a, b) {
-		t.Error("manifest bytes differ between P=1 and P=8 cold runs — a scheduling-dependent field leaked into the manifest")
+		t.Error("provenance bytes differ between P=1 and P=8 cold runs — a scheduling-dependent field leaked into the manifest")
 	}
 }
 
-// TestFigureGoldenHashesProvOn renders the full registry with provenance
-// recording active and checks every figure against the committed golden
-// hashes: observability must not perturb simulation output by a single
-// byte. The manifest produced alongside must reconcile.
+// TestFigureGoldenHashesProvOn renders the full registry with every
+// observer on (timeline, per-site attribution and provenance) and checks
+// every figure against the committed golden hashes and that the
+// provenance in the bundle written alongside reconciles.
 func TestFigureGoldenHashesProvOn(t *testing.T) {
 	if testing.Short() {
 		t.Skip("regenerates the full registry")
@@ -123,28 +115,9 @@ func TestFigureGoldenHashesProvOn(t *testing.T) {
 	if raceEnabled {
 		t.Skip("a second full-registry render exceeds the race budget")
 	}
-	ResetRunCache()
-	defer ResetRunCache()
-	EnableProvenance()
-	defer DisableProvenance()
-
-	got := figureHashes(t)
-	data, err := os.ReadFile(goldenPath)
-	if err != nil {
-		t.Fatalf("golden: reading %s: %v", goldenPath, err)
-	}
-	var want map[string]string
-	if err := json.Unmarshal(data, &want); err != nil {
-		t.Fatalf("golden: parsing %s: %v", goldenPath, err)
-	}
-	for id, h := range got {
-		if w, ok := want[id]; ok && h != w {
-			t.Errorf("golden: figure %q with provenance on hashed %s, want %s — observability changed simulation output", id, h, w)
-		}
-	}
-	_, m := provManifest(t)
-	if problems := m.Validate(); len(problems) != 0 {
-		t.Errorf("full-registry manifest does not reconcile:\n%v", problems)
+	o := observeRegistry(t)
+	if problems := o.Provenance.Validate(); len(problems) != 0 {
+		t.Errorf("full-registry provenance does not reconcile:\n%v", problems)
 	}
 }
 
@@ -183,8 +156,7 @@ func TestTraceStoreCorruptFooterReRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	EnableProvenance()
-	defer DisableProvenance()
+	defer Observe()()
 	st2 := ensureStream(precisePoint(w, DefaultSeed))
 	if st2.res != want {
 		t.Errorf("re-recorded result differs from original:\nwant %+v\ngot  %+v", want, st2.res)
@@ -262,8 +234,7 @@ func TestTraceStoreCorruptChunkFallsBackToExec(t *testing.T) {
 	cfg.GHBSize = 2
 	cfg.Degree = 4
 
-	EnableProvenance()
-	defer DisableProvenance()
+	defer Observe()()
 	b := newBatch("corrupt-chunk")
 	got := b.ctrPoint("lva/"+w.Name(), lvaPoint(w, cfg, DefaultSeed))
 	b.run()
@@ -361,8 +332,7 @@ func TestPhase2RunsEachKernelOnce(t *testing.T) {
 			ResetRunCache()
 			c.setup(t)
 			w.runs.Store(0)
-			EnableProvenance()
-			defer DisableProvenance()
+			defer Observe()()
 
 			got := fullsysResults(w, cfgs)
 			if n := w.runs.Load(); n != 1 {
@@ -405,8 +375,7 @@ func TestFullsysPointIdentity(t *testing.T) {
 	defer SetTraceDir("")
 	ResetRunCache()
 	defer ResetRunCache()
-	EnableProvenance()
-	defer DisableProvenance()
+	defer Observe()()
 	w := workloads.NewSwaptions()
 
 	FullSystemResult(w, 4)
@@ -457,20 +426,22 @@ const phase2Accesses = 6626866
 
 // TestPhase2CapturesEachStreamOnce pins phase 2's capture-once contract:
 // Figures 10 and 11 run concurrently from empty memos and an empty store,
-// yet every precise stream is captured exactly once for their twelve shared
-// configurations, so the ledger's streamed volume equals the seven precise
-// runs' accesses in one set of blocks each, and nothing is recorded.
+// yet every precise stream is captured exactly once for their twelve
+// shared configurations: seven kernel simulations, no recapture and no
+// recording, and the precise phase-2 results account for every access of
+// the seven precise runs.
 func TestPhase2CapturesEachStreamOnce(t *testing.T) {
 	dir := t.TempDir()
 	SetTraceDir(dir)
 	defer SetTraceDir("")
 	ResetRunCache()
 	defer ResetRunCache()
-	EnableProvenance()
-	defer DisableProvenance()
 
 	if _, err := RunAll("fig10", "fig11"); err != nil {
 		t.Fatal(err)
+	}
+	if sims := RunCacheCounters().Simulated; sims != uint64(len(workloads.All())) {
+		t.Errorf("Figures 10 and 11 made %d kernel simulations, want %d: one capture per precise stream", sims, len(workloads.All()))
 	}
 	if ts := TraceCounters(); ts.Recordings != 0 || ts.Recaptures != 0 {
 		t.Errorf("trace store = %+v, want no recording and no recapture", ts)
@@ -478,24 +449,21 @@ func TestPhase2CapturesEachStreamOnce(t *testing.T) {
 	if left, _ := os.ReadDir(dir); len(left) != 0 {
 		t.Errorf("phase 2 wrote %d file(s) to the trace store", len(left))
 	}
-	got := prov.Active().Costs()
 	// Each precise run is a run-cache hit now, and its per-core access
 	// counts are in the memoized precise phase-2 result.
-	var accesses, blocks uint64
+	var accesses, filed uint64
 	for _, w := range workloads.All() {
 		r := RunPrecise(w, DefaultSeed).Sim
 		accesses += r.Loads + r.Stores
 		precise, _ := FullSystemResult(w, 0)
 		for _, c := range precise.PerCore {
-			blocks += (uint64(c.Accesses) + 4095) / 4096
+			filed += uint64(c.Accesses)
 		}
 	}
-	t.Logf("streamed %d accesses in %d blocks", got.StreamedAccesses, got.StreamedBlocks)
 	if accesses != phase2Accesses {
 		t.Errorf("the precise runs made %d accesses, want %d", accesses, phase2Accesses)
 	}
-	if got.StreamedAccesses != accesses || got.StreamedBlocks != blocks {
-		t.Errorf("phase 2 filed %d accesses in %d blocks, want the precise runs' %d in %d: one capture each",
-			got.StreamedAccesses, got.StreamedBlocks, accesses, blocks)
+	if filed != accesses {
+		t.Errorf("the precise phase-2 runs stepped %d accesses, want the precise runs' %d", filed, accesses)
 	}
 }

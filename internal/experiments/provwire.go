@@ -19,25 +19,16 @@ import (
 // one atomic load, and with no active ledger nothing below it reads the
 // clock, builds a string, or allocates — pinned by TestProvOffIsFree.
 
-// GoldenCodeVersion stamps provenance records with the generation of
+// GoldenCodeVersion stamps run bundles with the generation of
 // figure-producing code that minted them. Bump it whenever
-// testdata/figure_hashes.json is regenerated: a manifest whose records
-// carry another stamp was produced by code whose figures may differ.
+// testdata/figure_hashes.json is regenerated: a bundle carrying another
+// stamp was produced by code whose figures may differ.
 const GoldenCodeVersion = "figures-2026-08-pr8"
 
-// EnableProvenance installs a fresh provenance ledger stamped with
-// GoldenCodeVersion. Call before the first run so every evaluation of
-// the process is covered; WriteProvManifest renders the result.
-func EnableProvenance() { prov.Enable(GoldenCodeVersion) }
-
-// DisableProvenance ends the provenance session and returns the final
-// ledger (nil when none was active).
-func DisableProvenance() *prov.Ledger { return prov.Disable() }
-
-// ProvCounters assembles the deterministic engine counters the manifest
+// provCounters assembles the deterministic engine counters the manifest
 // reconciles against: the trace-store accounting plus the run-cache
 // lookup count.
-func ProvCounters() prov.Counters {
+func provCounters() prov.Counters {
 	t := TraceCounters()
 	return prov.Counters{
 		Recordings:      t.Recordings,
@@ -46,12 +37,6 @@ func ProvCounters() prov.Counters {
 		ExecPoints:      t.ExecPoints,
 		RunCacheLookups: eng().cacheLookups.Value(),
 	}
-}
-
-// WriteProvManifest renders the active provenance ledger as a
-// byte-stable NDJSON manifest, reconciled against ProvCounters.
-func WriteProvManifest(w io.Writer) error {
-	return prov.WriteManifest(w, prov.Active(), ProvCounters())
 }
 
 // provFlowID names the Perfetto flow that links a recording span to the
@@ -92,31 +77,28 @@ var (
 )
 
 // provCtx anchors one serving stage: the active ledger (nil = off) plus
-// the stage's wall-clock start and gate queue wait. provBegin is the
-// single seam load; when it returns an off context every later method is
-// a nil check and nothing else.
+// the stage's wall-clock start, where its timeline span begins. provBegin
+// is the single seam load; when it returns an off context every later
+// method is a nil check and nothing else.
 type provCtx struct {
-	l      *prov.Ledger
-	start  time.Time
-	queued time.Duration
+	l     *prov.Ledger
+	start time.Time
 }
 
-func provBegin(queued time.Duration) provCtx {
+func provBegin() provCtx {
 	l := prov.Active()
 	if l == nil {
 		return provCtx{}
 	}
-	return provCtx{l: l, start: time.Now(), queued: queued}
+	return provCtx{l: l, start: time.Now()}
 }
 
 func (p provCtx) on() bool { return p.l != nil }
 
 // point emits the provenance record of one evaluation of dp, fingerprinted
-// by dp.hash(). st supplies the consumed (or produced) artifact identity;
-// served marks scheduling-dependent memo-vs-fresh detail ("" when not
-// applicable).
+// by dp.hash(). st supplies the consumed (or produced) artifact identity.
 func (p provCtx) point(fig, label, sched string, route prov.Route, counter, why string, dp designPoint,
-	st *gridStream, stages []string, served string) {
+	st *gridStream, stages []string) {
 	if p.l == nil {
 		return
 	}
@@ -133,11 +115,7 @@ func (p provCtx) point(fig, label, sched string, route prov.Route, counter, why 
 	if st != nil {
 		rec.Artifact, rec.ArtifactSHA256, rec.ArtifactBytes = st.artifact()
 	}
-	p.l.Emit(rec, prov.Cost{
-		WallUS:  time.Since(p.start).Microseconds(),
-		QueueUS: p.queued.Microseconds(),
-		Served:  served,
-	})
+	p.l.Emit(rec)
 }
 
 // stage closes the pid-4 timeline span of one serving stage. flowPh/"s"

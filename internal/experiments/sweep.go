@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"lva/internal/core"
 	"lva/internal/obs"
@@ -218,13 +217,13 @@ func RunSweep(spec SweepSpec, progress func(done, total int)) ([]SweepPoint, err
 				var run RunResult
 				pt := j.point
 				precise := preciseRuns[j.bi]
-				gatedQ("sweep/"+j.bench, func(queued time.Duration) {
-					pc := provBegin(queued)
+				gated("sweep/"+j.bench, func() {
+					pc := provBegin()
 					dp := lvaPoint(ws[j.bi], j.cfg, n.Seed)
 					run = simulate(dp)
 					if pc.on() {
 						pc.point("sweep", "lva/"+j.bench, "sweep", prov.RouteExec, prov.CounterNone,
-							provWhySweepExec, dp, nil, provStagesSweepExec, "")
+							provWhySweepExec, dp, nil, provStagesSweepExec)
 					}
 				})
 				sim := run.Sim

@@ -1,19 +1,19 @@
 package experiments
 
 import (
-	"encoding/json"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// The run timeline makes the scheduler visible: when capture is on, the
-// engine emits Chrome trace-event JSON (load it at ui.perfetto.dev or
-// chrome://tracing) with one track per gate slot showing which figure/row
-// task each worker ran and how long it queued, one track per figure driver,
-// and one lane of executed kernel simulations with run-cache hits marked as
-// instants. Capture is off by default: the pointer below is nil and every
-// emission site is a single atomic load.
+// The run timeline makes the scheduler visible: during an observed run
+// (Observe) the engine records Chrome trace events, the run bundle's
+// TraceEvents (load the bundle at ui.perfetto.dev or chrome://tracing),
+// with one track per gate slot showing which figure/row task each worker
+// ran and how long it queued, one track per figure driver, and one lane of
+// executed kernel simulations with run-cache hits marked as instants.
+// Capture is off by default: the pointer below is nil and every emission
+// site is a single atomic load.
 
 // Trace-event process ids: Perfetto groups tracks by pid, so each view
 // lands in its own named group.
@@ -24,9 +24,9 @@ const (
 	tlPidProv    = 4 // provenance spans: serving stages, flow-linked to recordings
 )
 
-// traceEvent is one Chrome trace-event object. Times are microseconds
+// TraceEvent is one Chrome trace-event object. Times are microseconds
 // relative to capture start.
-type traceEvent struct {
+type TraceEvent struct {
 	Name string         `json:"name"`
 	Cat  string         `json:"cat,omitempty"`
 	Ph   string         `json:"ph"`
@@ -39,24 +39,23 @@ type traceEvent struct {
 	Args map[string]any `json:"args,omitempty"`
 }
 
-// Timeline accumulates trace events for one capture session.
-type Timeline struct {
+// runTimeline accumulates trace events for one capture session.
+type runTimeline struct {
 	start time.Time
 
 	mu       sync.Mutex
-	events   []traceEvent
+	events   []TraceEvent
 	simTids  int // virtual tid allocator for the executed-simulation lane
 	provTids int // virtual tid allocator for the provenance lane
 }
 
 // timeline is the active capture (nil = off). Emission sites load it once
 // and skip all timing work when no capture is running.
-var timeline atomic.Pointer[Timeline]
+var timeline atomic.Pointer[runTimeline]
 
-// StartTimeline begins a new capture session, replacing any previous one.
-// Call it before RunAll/RunSweep; TimelineJSON retrieves the result.
-func StartTimeline() {
-	t := &Timeline{start: time.Now(), events: make([]traceEvent, 0, 4096)}
+// startTimeline begins a new capture session, replacing any previous one.
+func startTimeline() {
+	t := &runTimeline{start: time.Now(), events: make([]TraceEvent, 0, 4096)}
 	t.events = append(t.events,
 		metaEvent(tlPidWorkers, "process_name", "gate workers"),
 		metaEvent(tlPidFigures, "process_name", "figure drivers"),
@@ -66,48 +65,22 @@ func StartTimeline() {
 	timeline.Store(t)
 }
 
-// StopTimeline ends the capture session (subsequent runs emit nothing) and
-// returns the captured timeline, or nil when none was running.
-func StopTimeline() *Timeline {
-	return timeline.Swap(nil)
-}
-
-// TimelineActive reports whether a capture session is running.
-func TimelineActive() bool { return timeline.Load() != nil }
-
-// TimelineJSON renders the active capture session as a Chrome trace-event
-// JSON document ({"traceEvents": [...]}). It may be called while the
-// session is still active; the events captured so far are returned.
-func TimelineJSON() ([]byte, error) {
-	t := timeline.Load()
-	if t == nil {
-		return nil, errNoTimeline
-	}
-	return t.JSON()
-}
-
-var errNoTimeline = jsonError("experiments: no timeline capture running (call StartTimeline first)")
-
-type jsonError string
-
-func (e jsonError) Error() string { return string(e) }
-
-func metaEvent(pid int, name, value string) traceEvent {
-	return traceEvent{Name: name, Ph: "M", PID: pid, Args: map[string]any{"name": value}}
+func metaEvent(pid int, name, value string) TraceEvent {
+	return TraceEvent{Name: name, Ph: "M", PID: pid, Args: map[string]any{"name": value}}
 }
 
 // now returns microseconds since capture start.
-func (t *Timeline) now() int64 { return time.Since(t.start).Microseconds() }
+func (t *runTimeline) now() int64 { return time.Since(t.start).Microseconds() }
 
 // span records a complete ("X") event from start to now.
-func (t *Timeline) span(pid, tid int, name, cat string, start time.Time, args map[string]any) {
+func (t *runTimeline) span(pid, tid int, name, cat string, start time.Time, args map[string]any) {
 	ts := start.Sub(t.start).Microseconds()
 	dur := time.Since(start).Microseconds()
 	if dur < 1 {
 		dur = 1 // Perfetto drops zero-width spans
 	}
 	t.mu.Lock()
-	t.events = append(t.events, traceEvent{
+	t.events = append(t.events, TraceEvent{
 		Name: name, Cat: cat, Ph: "X", TS: ts, Dur: dur,
 		PID: pid, TID: tid, Args: args,
 	})
@@ -115,9 +88,9 @@ func (t *Timeline) span(pid, tid int, name, cat string, start time.Time, args ma
 }
 
 // instant records an instant ("i") event at now.
-func (t *Timeline) instant(pid, tid int, name, cat string, args map[string]any) {
+func (t *runTimeline) instant(pid, tid int, name, cat string, args map[string]any) {
 	t.mu.Lock()
-	t.events = append(t.events, traceEvent{
+	t.events = append(t.events, TraceEvent{
 		Name: name, Cat: cat, Ph: "i", TS: t.now(),
 		PID: pid, TID: tid, Args: args,
 	})
@@ -125,7 +98,7 @@ func (t *Timeline) instant(pid, tid int, name, cat string, args map[string]any) 
 }
 
 // nextSimTid hands out lanes for concurrently executing simulations.
-func (t *Timeline) nextSimTid() int {
+func (t *runTimeline) nextSimTid() int {
 	t.mu.Lock()
 	t.simTids++
 	tid := t.simTids
@@ -134,7 +107,7 @@ func (t *Timeline) nextSimTid() int {
 }
 
 // nextProvTid hands out lanes on the provenance pid.
-func (t *Timeline) nextProvTid() int {
+func (t *runTimeline) nextProvTid() int {
 	t.mu.Lock()
 	t.provTids++
 	tid := t.provTids
@@ -147,8 +120,8 @@ func (t *Timeline) nextProvTid() int {
 // "f" with binding point "e" lands it on a consuming span. Both ends
 // share name/cat ("stream"/"prov") and the id derived from the stream
 // key, which is how the trace-event format pairs them.
-func (t *Timeline) flow(ph string, id uint64, pid, tid int, start time.Time) {
-	ev := traceEvent{
+func (t *runTimeline) flow(ph string, id uint64, pid, tid int, start time.Time) {
+	ev := TraceEvent{
 		Name: "stream", Cat: "prov", Ph: ph,
 		TS:  start.Sub(t.start).Microseconds() + 1, // inside the ≥1µs span
 		PID: pid, TID: tid, ID: id,
@@ -161,19 +134,11 @@ func (t *Timeline) flow(ph string, id uint64, pid, tid int, start time.Time) {
 	t.mu.Unlock()
 }
 
-// JSON renders the timeline in the Chrome trace-event container format.
-func (t *Timeline) JSON() ([]byte, error) {
+// snapshot copies the events captured so far.
+func (t *runTimeline) snapshot() []TraceEvent {
 	t.mu.Lock()
-	evs := make([]traceEvent, len(t.events))
+	defer t.mu.Unlock()
+	evs := make([]TraceEvent, len(t.events))
 	copy(evs, t.events)
-	t.mu.Unlock()
-	doc := struct {
-		TraceEvents     []traceEvent `json:"traceEvents"`
-		DisplayTimeUnit string       `json:"displayTimeUnit"`
-	}{TraceEvents: evs, DisplayTimeUnit: "ms"}
-	b, err := json.MarshalIndent(doc, "", " ")
-	if err != nil {
-		return nil, err
-	}
-	return append(b, '\n'), nil
+	return evs
 }

@@ -7,47 +7,31 @@ import (
 	"testing"
 )
 
-// decodeTrace parses a Chrome trace-event document as Perfetto would.
-func decodeTrace(t *testing.T, b []byte) []traceEvent {
-	t.Helper()
-	var doc struct {
-		TraceEvents     []traceEvent `json:"traceEvents"`
-		DisplayTimeUnit string       `json:"displayTimeUnit"`
-	}
-	if err := json.Unmarshal(b, &doc); err != nil {
-		t.Fatalf("timeline is not valid trace-event JSON: %v", err)
-	}
-	if doc.DisplayTimeUnit != "ms" {
-		t.Errorf("displayTimeUnit = %q, want ms", doc.DisplayTimeUnit)
-	}
-	return doc.TraceEvents
-}
-
-// TestTimelineCapture drives one figure under an active capture and checks
-// the document shape: named process groups, figure spans, worker spans
-// with queue-wait args, and simulation spans marked by cache outcome.
+// TestTimelineCapture drives one figure under an observed run and checks
+// the bundle's timeline: named process groups, figure spans, worker spans
+// with queue-wait args, and simulation spans marked by cache outcome. The
+// bundle must also survive a read-back byte for byte.
 func TestTimelineCapture(t *testing.T) {
 	ResetRunCache()
 	defer ResetRunCache()
-	if _, err := TimelineJSON(); err == nil {
-		t.Fatal("TimelineJSON must error with no capture running")
-	}
-	StartTimeline()
-	defer StopTimeline()
-	if !TimelineActive() {
-		t.Fatal("TimelineActive false after StartTimeline")
-	}
+	defer Observe()()
 	if _, err := RunAll("fig13"); err != nil {
 		t.Fatal(err)
 	}
-	b, err := TimelineJSON()
+	o, b := observation(t)
+	if o.DisplayTimeUnit != "ms" {
+		t.Errorf("displayTimeUnit = %q, want ms", o.DisplayTimeUnit)
+	}
+	again, err := json.MarshalIndent(o, "", " ")
 	if err != nil {
 		t.Fatal(err)
 	}
-	evs := decodeTrace(t, b)
+	if string(append(again, '\n')) != string(b) {
+		t.Error("the bundle changed across a read-back: some field does not round-trip")
+	}
 
 	var metas, figSpans, workerSpans, simSpans int
-	for _, e := range evs {
+	for _, e := range o.TraceEvents {
 		switch {
 		case e.Ph == "M":
 			metas++
@@ -81,22 +65,17 @@ func TestTimelineCapture(t *testing.T) {
 	if simSpans != 6 {
 		t.Errorf("executed-simulation spans = %d, want 6", simSpans)
 	}
-	for _, e := range evs {
+	for _, e := range o.TraceEvents {
 		if e.Ph == "X" && e.Dur < 1 {
 			t.Errorf("span %q has zero width (Perfetto drops it)", e.Name)
 		}
-	}
-
-	StopTimeline()
-	if TimelineActive() {
-		t.Fatal("TimelineActive true after StopTimeline")
 	}
 }
 
 // canonicalize reduces a capture to its scheduling-independent shape: the
 // sorted multiset of (pid, phase, name), dropping metadata events and the
 // volatile fields (timestamps, durations, tids, queue waits).
-func canonicalize(evs []traceEvent) []string {
+func canonicalize(evs []TraceEvent) []string {
 	var out []string
 	for _, e := range evs {
 		if e.Ph == "M" {
@@ -120,22 +99,17 @@ func TestTimelineDeterministicAcrossParallelism(t *testing.T) {
 	defer func() {
 		Parallelism = saved
 		ResetRunCache()
-		StopTimeline()
 	}()
 
 	capture := func(par int) []string {
 		Parallelism = par
 		ResetRunCache()
-		StartTimeline()
+		defer Observe()()
 		if _, err := RunAll("fig12", "fig13"); err != nil {
 			t.Fatal(err)
 		}
-		b, err := TimelineJSON()
-		if err != nil {
-			t.Fatal(err)
-		}
-		StopTimeline()
-		return canonicalize(decodeTrace(t, b))
+		o, _ := observation(t)
+		return canonicalize(o.TraceEvents)
 	}
 
 	p8 := capture(8)

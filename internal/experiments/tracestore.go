@@ -206,7 +206,7 @@ func ensureStream(dp designPoint) *gridStream {
 	st, _ := memoOnce(memoStream, dp, func() *gridStream {
 		st := new(gridStream)
 		key := dp.key()
-		pc := provBegin(0)
+		pc := provBegin()
 		why := provWhyColdRecord
 		path := ""
 		if dir, err := traceDir(); err == nil {
@@ -248,7 +248,7 @@ func ensureStream(dp designPoint) *gridStream {
 		if recorded && pc.on() {
 			kind := streamKind(dp)
 			pc.point("tracestore", kind+"/"+dp.w.Name(), "store", prov.RouteExec,
-				prov.CounterRecording, why, dp, st, provStagesRecord, "")
+				prov.CounterRecording, why, dp, st, provStagesRecord)
 			pc.stage("record "+kind+"/"+dp.w.Name(), "s", key,
 				map[string]any{"kind": kind, "workload": dp.w.Name(), "why": why})
 		}

@@ -25,7 +25,6 @@ import (
 	"lva/internal/dram"
 	"lva/internal/energy"
 	"lva/internal/noc"
-	"lva/internal/obs/prov"
 	"lva/internal/trace"
 	"lva/internal/value"
 )
@@ -328,7 +327,6 @@ type Capture struct {
 	// lastEnd is, per thread, the global instruction index just past the
 	// thread's previous access.
 	lastEnd [256]uint64
-	blocks  uint64
 	n       uint64 // accesses filed
 }
 
@@ -377,19 +375,11 @@ func (c *Capture) grow(core int) *streamBlock {
 		b.next = nb
 	}
 	c.tails[core] = nb
-	c.blocks++
 	return nb
 }
 
-// Stream returns the captured Stream and, when a provenance ledger is
-// active, accounts its blocks and accesses there. Call it once, after the
-// last access.
-func (c *Capture) Stream() *Stream {
-	if l := prov.Active(); l != nil {
-		l.AddStream(c.blocks, c.n)
-	}
-	return c.st
-}
+// Stream returns the captured Stream. Call it after the last access.
+func (c *Capture) Stream() *Stream { return c.st }
 
 // Decode reads src to the end in one pass and files each access into its
 // core's blocks, as a Capture of the recorded run would: thread t runs on

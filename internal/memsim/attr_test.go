@@ -22,7 +22,7 @@ func driveAnnotated(sim *Simulator) {
 // split (covered vs fetched) is consistent with the run's totals.
 func TestAttributionRecordsAnnotatedSites(t *testing.T) {
 	sim := New(DefaultConfig())
-	rec := attr.NewRecorder("memsim-test")
+	rec := attr.NewRecorder("memsim-test", attr.DefaultEpochWindow)
 	sim.SetAttribution(rec)
 	driveAnnotated(sim)
 	res := sim.Result()
@@ -54,7 +54,7 @@ func TestAttributionPreciseAttachmentFetches(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Attach = AttachNone
 	sim := New(cfg)
-	rec := attr.NewRecorder("memsim-precise")
+	rec := attr.NewRecorder("memsim-precise", attr.DefaultEpochWindow)
 	sim.SetAttribution(rec)
 	driveAnnotated(sim)
 
@@ -80,10 +80,8 @@ func TestAttributionPreciseAttachmentFetches(t *testing.T) {
 // through the simulator: windows seal on annotated-load counts and carry
 // instruction deltas from the simulator's running count.
 func TestAttributionEpochsTrackInstructions(t *testing.T) {
-	attr.SetEpochWindow(500)
-	defer attr.SetEpochWindow(attr.DefaultEpochWindow)
 	sim := New(DefaultConfig())
-	rec := attr.NewRecorder("memsim-epochs")
+	rec := attr.NewRecorder("memsim-epochs", 500)
 	sim.SetAttribution(rec)
 	driveAnnotated(sim)
 
@@ -105,12 +103,10 @@ func TestAttributionEpochsTrackInstructions(t *testing.T) {
 // once the site table holds the run's static PCs and the epoch ring is at
 // capacity, attributing a load/miss/training allocates nothing.
 func TestAttributionSteadyStateAllocFree(t *testing.T) {
-	attr.SetEpochWindow(64)
-	defer attr.SetEpochWindow(attr.DefaultEpochWindow)
 	cfg := DefaultConfig()
 	cfg.Approx.ValueDelay = 0
 	sim := New(cfg)
-	rec := attr.NewRecorder("memsim-allocs")
+	rec := attr.NewRecorder("memsim-allocs", 64)
 	sim.SetAttribution(rec)
 	driveAnnotated(sim) // warms the site table and seals epochs into the preallocated ring
 	addr := uint64(0x900000)
@@ -128,7 +124,7 @@ func TestAttributionDoesNotChangeResults(t *testing.T) {
 	run := func(wire bool) Result {
 		sim := New(DefaultConfig())
 		if wire {
-			sim.SetAttribution(attr.NewRecorder("observer"))
+			sim.SetAttribution(attr.NewRecorder("observer", attr.DefaultEpochWindow))
 		}
 		driveAnnotated(sim)
 		return sim.Result()

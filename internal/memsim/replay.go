@@ -3,7 +3,6 @@ package memsim
 import (
 	"io"
 
-	"lva/internal/obs/prov"
 	"lva/internal/trace"
 )
 
@@ -23,7 +22,6 @@ import (
 // GridHeader.Instructions); trailing non-memory work past the last access
 // is re-applied as a final Tick.
 func Replay(src trace.ChunkSource, instructions uint64, sims []*Sim) error {
-	var chunks, accesses uint64
 	for {
 		accs, insts, err := src.Next()
 		if err == io.EOF {
@@ -32,8 +30,6 @@ func Replay(src trace.ChunkSource, instructions uint64, sims []*Sim) error {
 		if err != nil {
 			return err
 		}
-		chunks++
-		accesses += uint64(len(accs))
 		for _, s := range sims {
 			for i := range accs {
 				a := &accs[i]
@@ -55,11 +51,6 @@ func Replay(src trace.ChunkSource, instructions uint64, sims []*Sim) error {
 		if instructions > s.insts {
 			s.Tick(instructions - s.insts)
 		}
-	}
-	// One provenance cost sample per pass, never per access: the decode
-	// volume lands on the ledger only when provenance is on.
-	if l := prov.Active(); l != nil {
-		l.AddDecode(chunks, accesses, uint64(len(sims)))
 	}
 	return nil
 }

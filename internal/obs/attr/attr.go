@@ -20,6 +20,7 @@ package attr
 
 import (
 	"math"
+	"strconv"
 	"sync/atomic"
 )
 
@@ -34,41 +35,14 @@ func SetEnabled(on bool) { enabled.Store(on) }
 // Enabled reports whether attribution is enabled.
 func Enabled() bool { return enabled.Load() }
 
-// DefaultEpochWindow is the epoch length in annotated loads when no window
-// was configured: long enough that a full benchmark run yields tens of
-// epochs, short enough to localize drift.
+// DefaultEpochWindow is the epoch length in annotated loads the
+// experiment engine records with: long enough that a full benchmark run
+// yields tens of epochs, short enough to localize drift.
 const DefaultEpochWindow = 50000
 
 // epochRingCap bounds the per-run epoch ring; when a run exceeds it the
 // oldest epochs are dropped (the snapshot reports how many).
 const epochRingCap = 512
-
-// epochWindow holds the configured window: 0 = unset (DefaultEpochWindow),
-// negative = epochs disabled.
-var epochWindow atomic.Int64
-
-// SetEpochWindow configures the epoch length in annotated loads for
-// Recorders created afterwards. n <= 0 disables the epoch time-series
-// (per-site attribution still runs).
-func SetEpochWindow(n int) {
-	if n <= 0 {
-		epochWindow.Store(-1)
-		return
-	}
-	epochWindow.Store(int64(n))
-}
-
-// EpochWindow returns the effective epoch window (0 when disabled).
-func EpochWindow() int {
-	v := epochWindow.Load()
-	if v == 0 {
-		return DefaultEpochWindow
-	}
-	if v < 0 {
-		return 0
-	}
-	return int(v)
-}
 
 // Site accumulates the attribution counters of one approximate-load PC.
 type Site struct {
@@ -121,25 +95,25 @@ type Recorder struct {
 	zero     Site
 	zeroUsed bool
 
-	window          uint64 // epoch length in annotated loads; 0 = epochs off
+	window          uint64 // epoch length in annotated loads
 	epoch           Epoch  // accumulator for the current epoch
 	epochStartInsts uint64
 	lastInsts       uint64
 	ring            []Epoch // last epochRingCap sealed epochs
 	ringStart       int     // index of the oldest sealed epoch in ring
-	ringLen         int
 	totalEpochs     int
 }
 
 // NewRecorder builds a recorder for one run. scope names the run in the
-// published snapshot (the experiment harness uses bench/attach/confighash).
-// The epoch window is captured from SetEpochWindow at construction.
-func NewRecorder(scope string) *Recorder {
-	r := &Recorder{scope: scope, window: uint64(EpochWindow())}
-	if r.window > 0 {
-		r.ring = make([]Epoch, 0, epochRingCap)
+// published snapshot (the experiment harness uses bench/attach/confighash)
+// and window is the epoch length in annotated loads (the harness passes
+// DefaultEpochWindow). It panics if window is not positive, since the
+// window is a fixed experiment parameter.
+func NewRecorder(scope string, window int) *Recorder {
+	if window <= 0 {
+		panic("attr: epoch window must be positive, got " + strconv.Itoa(window))
 	}
-	return r
+	return &Recorder{scope: scope, window: uint64(window), ring: make([]Epoch, 0, epochRingCap)}
 }
 
 // Scope returns the run label the recorder was created with.
@@ -205,9 +179,6 @@ func (r *Recorder) growTable() {
 func (r *Recorder) Load(pc, insts uint64) {
 	r.site(pc).Loads++
 	r.lastInsts = insts
-	if r.window == 0 {
-		return
-	}
 	r.epoch.Loads++
 	if r.epoch.Loads >= r.window {
 		r.sealEpoch(insts)
@@ -225,9 +196,6 @@ func (r *Recorder) Miss(pc uint64, covered, fetched bool) {
 	if fetched {
 		s.Fetches++
 	}
-	if r.window == 0 {
-		return
-	}
 	r.epoch.Misses++
 	if covered {
 		r.epoch.Covered++
@@ -243,9 +211,7 @@ func (r *Recorder) Miss(pc uint64, covered, fetched bool) {
 func (r *Recorder) Train(pc uint64, hadApprox, accepted, gained, lost bool, relErr float64) {
 	s := r.site(pc)
 	s.Trainings++
-	if r.window != 0 {
-		r.epoch.Trainings++
-	}
+	r.epoch.Trainings++
 	if !hadApprox {
 		return
 	}
@@ -268,9 +234,6 @@ func (r *Recorder) Train(pc uint64, hadApprox, accepted, gained, lost bool, relE
 		if relErr > s.ErrMax {
 			s.ErrMax = relErr
 		}
-	}
-	if r.window == 0 {
-		return
 	}
 	e := &r.epoch
 	if accepted {
@@ -300,7 +263,6 @@ func (r *Recorder) sealEpoch(insts uint64) {
 	r.totalEpochs++
 	if len(r.ring) < cap(r.ring) {
 		r.ring = append(r.ring, e)
-		r.ringLen = len(r.ring)
 	} else {
 		r.ring[r.ringStart] = e
 		r.ringStart = (r.ringStart + 1) % len(r.ring)

@@ -1,17 +1,15 @@
 package attr
 
 import (
+	"encoding/json"
 	"reflect"
 	"strconv"
 	"sync"
 	"testing"
 )
 
-// resetWindow restores the unset (default-window) state tests start from.
-func resetWindow() { epochWindow.Store(0) }
-
 func TestSiteTableGrowthKeepsCounts(t *testing.T) {
-	r := NewRecorder("grow")
+	r := NewRecorder("grow", DefaultEpochWindow)
 	const n = 2000
 	for round := 0; round < 3; round++ {
 		for i := 0; i < n; i++ {
@@ -42,7 +40,7 @@ func TestSiteTableGrowthKeepsCounts(t *testing.T) {
 }
 
 func TestZeroPCTracked(t *testing.T) {
-	r := NewRecorder("zero")
+	r := NewRecorder("zero", DefaultEpochWindow)
 	r.Load(0, 1)
 	r.Load(0, 2)
 	r.Miss(0, false, true)
@@ -59,7 +57,7 @@ func TestZeroPCTracked(t *testing.T) {
 }
 
 func TestTrainAccumulatesError(t *testing.T) {
-	r := NewRecorder("train")
+	r := NewRecorder("train", DefaultEpochWindow)
 	r.Train(0x40, true, true, true, false, 0.02)
 	r.Train(0x40, true, false, false, true, 0.30)
 	r.Train(0x40, false, false, false, false, 0) // no approximation to judge
@@ -80,9 +78,7 @@ func TestTrainAccumulatesError(t *testing.T) {
 }
 
 func TestEpochSealingAndRingWrap(t *testing.T) {
-	SetEpochWindow(10)
-	defer resetWindow()
-	r := NewRecorder("ring")
+	r := NewRecorder("ring", 10)
 	total := (epochRingCap + 88) * 10
 	for i := 0; i < total; i++ {
 		r.Load(0x40, uint64(i*3)) // 3 insts per load keeps Insts nonzero
@@ -108,9 +104,7 @@ func TestEpochSealingAndRingWrap(t *testing.T) {
 }
 
 func TestFinalizeSealsPartialEpoch(t *testing.T) {
-	SetEpochWindow(100)
-	defer resetWindow()
-	r := NewRecorder("partial")
+	r := NewRecorder("partial", 100)
 	for i := 0; i < 250; i++ {
 		r.Load(0x40, uint64(i))
 	}
@@ -124,9 +118,7 @@ func TestFinalizeSealsPartialEpoch(t *testing.T) {
 }
 
 func TestRunShorterThanOneWindow(t *testing.T) {
-	SetEpochWindow(100)
-	defer resetWindow()
-	r := NewRecorder("short")
+	r := NewRecorder("short", 100)
 	for i := 0; i < 7; i++ {
 		r.Load(0x40, uint64(i))
 	}
@@ -143,9 +135,7 @@ func TestRunShorterThanOneWindow(t *testing.T) {
 }
 
 func TestExactMultipleWindowBoundary(t *testing.T) {
-	SetEpochWindow(50)
-	defer resetWindow()
-	r := NewRecorder("exact")
+	r := NewRecorder("exact", 50)
 	for i := 0; i < 150; i++ {
 		r.Load(0x40, uint64(i))
 	}
@@ -161,9 +151,7 @@ func TestExactMultipleWindowBoundary(t *testing.T) {
 }
 
 func TestRingWrapAccountingReconciles(t *testing.T) {
-	SetEpochWindow(10)
-	defer resetWindow()
-	r := NewRecorder("reconcile")
+	r := NewRecorder("reconcile", 10)
 	total := (epochRingCap+5)*10 + 4 // cap+5 full epochs, then a 4-load partial
 	for i := 0; i < total; i++ {
 		r.Load(0x40, uint64(i))
@@ -188,22 +176,16 @@ func TestRingWrapAccountingReconciles(t *testing.T) {
 	}
 }
 
-func TestEpochWindowDisabled(t *testing.T) {
-	SetEpochWindow(-1)
-	defer resetWindow()
-	if EpochWindow() != 0 {
-		t.Fatalf("EpochWindow() = %d, want 0 when disabled", EpochWindow())
-	}
-	r := NewRecorder("off")
-	for i := 0; i < 1000; i++ {
-		r.Load(0x40, uint64(i))
-	}
-	s := r.Finalize()
-	if len(s.Epochs) != 0 || s.TotalEpochs != 0 {
-		t.Fatalf("epochs recorded with window disabled: %+v", s)
-	}
-	if len(s.Sites) != 1 || s.Sites[0].Loads != 1000 {
-		t.Fatal("per-site attribution must keep running with epochs disabled")
+func TestNewRecorderRejectsNonPositiveWindow(t *testing.T) {
+	for _, w := range []int{0, -1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewRecorder with window %d did not panic", w)
+				}
+			}()
+			NewRecorder("bad", w)
+		}()
 	}
 }
 
@@ -245,14 +227,14 @@ func TestDriftRatio(t *testing.T) {
 func TestPublishSnapshotRoundtrip(t *testing.T) {
 	Reset()
 	defer Reset()
-	r := NewRecorder("bench/lva/cafe")
+	r := NewRecorder("bench/lva/cafe", DefaultEpochWindow)
 	r.Load(0x40, 10)
 	r.Miss(0x40, true, false)
 	r.Train(0x40, true, true, false, false, 0.05)
 	Publish(r)
 
 	// Replace-semantics: republishing the same scope is idempotent.
-	r2 := NewRecorder("bench/lva/cafe")
+	r2 := NewRecorder("bench/lva/cafe", DefaultEpochWindow)
 	r2.Load(0x40, 10)
 	r2.Miss(0x40, true, false)
 	r2.Train(0x40, true, true, false, false, 0.05)
@@ -266,8 +248,8 @@ func TestPublishSnapshotRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := ParseSnapshot(b)
-	if err != nil {
+	var back Snapshot
+	if err := json.Unmarshal(b, &back); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(snap, back) {
@@ -283,7 +265,7 @@ func TestSnapshotSortedByScope(t *testing.T) {
 	Reset()
 	defer Reset()
 	for _, scope := range []string{"zeta/lva/1", "alpha/lva/2", "mid/lvp/3"} {
-		r := NewRecorder(scope)
+		r := NewRecorder(scope, DefaultEpochWindow)
 		r.Load(0x40, 1)
 		Publish(r)
 	}
@@ -296,10 +278,8 @@ func TestSnapshotSortedByScope(t *testing.T) {
 }
 
 func TestIdenticalRunsFinalizeIdentically(t *testing.T) {
-	SetEpochWindow(7)
-	defer resetWindow()
 	run := func() ScopeStats {
-		r := NewRecorder("det")
+		r := NewRecorder("det", 7)
 		for i := 0; i < 300; i++ {
 			pc := uint64(0x400 + i%13*4)
 			r.Load(pc, uint64(i*2))
@@ -328,7 +308,7 @@ func TestConcurrentPublishSnapshot(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
-				r := NewRecorder("bench/lva/" + strconv.Itoa(g))
+				r := NewRecorder("bench/lva/"+strconv.Itoa(g), DefaultEpochWindow)
 				r.Load(uint64(0x400+g), uint64(i))
 				r.Train(uint64(0x400+g), true, true, false, false, 0.25)
 				Publish(r)

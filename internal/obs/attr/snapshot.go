@@ -2,7 +2,6 @@ package attr
 
 import (
 	"encoding/json"
-	"errors"
 	"sort"
 	"strconv"
 	"sync"
@@ -84,14 +83,14 @@ func epochStats(e Epoch) EpochStats {
 // exported form. Sites are sorted by PC and epochs by index, so the result
 // is deterministic for a deterministic run regardless of scheduling.
 func (r *Recorder) Finalize() ScopeStats {
-	if r.window > 0 && r.epoch.Loads > 0 {
+	if r.epoch.Loads > 0 {
 		r.sealEpoch(r.lastInsts)
 	}
 	out := ScopeStats{
 		Scope:         r.scope,
 		EpochWindow:   int(r.window),
 		TotalEpochs:   r.totalEpochs,
-		DroppedEpochs: r.totalEpochs - r.ringLen,
+		DroppedEpochs: r.totalEpochs - len(r.ring),
 	}
 	sites := make([]Site, 0, r.n)
 	if r.zeroUsed {
@@ -117,7 +116,7 @@ func (r *Recorder) Finalize() ScopeStats {
 		}
 		out.Sites[i] = ss
 	}
-	for i := 0; i < r.ringLen; i++ {
+	for i := range r.ring {
 		e := r.ring[(r.ringStart+i)%len(r.ring)]
 		out.Epochs = append(out.Epochs, epochStats(e))
 	}
@@ -226,13 +225,4 @@ func (s Snapshot) JSON() ([]byte, error) {
 		return nil, err
 	}
 	return append(b, '\n'), nil
-}
-
-// ParseSnapshot decodes a snapshot written by JSON.
-func ParseSnapshot(b []byte) (Snapshot, error) {
-	var s Snapshot
-	if err := json.Unmarshal(b, &s); err != nil {
-		return Snapshot{}, errors.Join(errors.New("attr: invalid snapshot"), err)
-	}
-	return s, nil
 }

@@ -1,37 +1,21 @@
 package prov
 
 import (
-	"bufio"
-	"encoding/json"
-	"errors"
-	"io"
 	"sort"
 	"strconv"
 )
 
-// The provenance manifest is NDJSON: one header line, the sorted
-// per-evaluation records, the sorted per-fingerprint run-cache call
-// lines, and a summary line whose counters come from the producing
-// process. Every line is rendered from a fixed-field struct and the
-// sort keys are total, so the document is byte-stable for a given
-// design grid — P=1 and P=8 runs of the same figures produce identical
-// bytes. Reconciliation (Validate) checks the document against itself
-// and against the embedded counters, so a manifest that "doesn't sum"
-// is detectable with no live process.
-
-// ManifestVersion is the schema version written and accepted.
-const ManifestVersion = 1
-
-// HeaderLine is the first manifest line.
-type HeaderLine struct {
-	Kind    string `json:"kind"` // "manifest"
-	Version int    `json:"version"`
-	Code    string `json:"code"`
-}
+// The manifest is the provenance section of a run bundle: the sorted
+// per-evaluation records, the sorted per-fingerprint run-cache call lines,
+// and a summary whose counters come from the producing process. Every
+// entry is a fixed-field struct and the sort keys are total, so its JSON
+// is byte-stable for a given design grid — P=1 and P=8 runs of the same
+// figures produce identical bytes. Reconciliation (Validate) checks the
+// manifest against itself and against the embedded counters, so a
+// manifest that "doesn't sum" is detectable with no live process.
 
 // RecordLine is one aggregated evaluation record.
 type RecordLine struct {
-	Kind          string   `json:"kind"` // "record"
 	Figure        string   `json:"figure"`
 	Label         string   `json:"label"`
 	Route         string   `json:"route"`
@@ -42,7 +26,6 @@ type RecordLine struct {
 	Artifact      string   `json:"artifact,omitempty"`
 	ArtifactSHA   string   `json:"artifact_sha256,omitempty"`
 	ArtifactBytes int64    `json:"artifact_bytes,omitempty"`
-	Code          string   `json:"code"`
 	Stages        []string `json:"stages"`
 	Count         uint64   `json:"count"`
 }
@@ -52,7 +35,6 @@ type RecordLine struct {
 // singleflight is scheduling-dependent, but the number of lookups per
 // fingerprint — and, cold, the hit split (all but the winner) — is not.
 type CallLine struct {
-	Kind        string `json:"kind"` // "call"
 	Route       string `json:"route"`
 	Label       string `json:"label"`
 	Fingerprint string `json:"fingerprint"`
@@ -77,9 +59,9 @@ type Counters struct {
 	RunCacheLookups uint64 `json:"runcache_lookups"`
 }
 
-// SummaryLine is the last manifest line.
+// SummaryLine totals the manifest and carries the producing process's
+// counters.
 type SummaryLine struct {
-	Kind        string      `json:"kind"` // "summary"
 	Evaluations uint64      `json:"evaluations"`
 	SimsAvoided uint64      `json:"sims_avoided"`
 	Calls       uint64      `json:"calls"`
@@ -87,12 +69,12 @@ type SummaryLine struct {
 	Counters    Counters    `json:"counters"`
 }
 
-// Manifest is a parsed provenance manifest.
+// Manifest is the provenance of one run: what Ledger.Manifest renders and
+// a run bundle's provenance section holds.
 type Manifest struct {
-	Header  HeaderLine
-	Records []RecordLine
-	Calls   []CallLine
-	Summary SummaryLine
+	Records []RecordLine `json:"records"`
+	Calls   []CallLine   `json:"calls"`
+	Summary SummaryLine  `json:"summary"`
 }
 
 // avoided reports how many kernel simulations a record's evaluations
@@ -111,7 +93,6 @@ func (l *Ledger) snapshotRecords() []RecordLine {
 	out := make([]RecordLine, 0, len(l.recs))
 	for _, e := range l.recs {
 		out = append(out, RecordLine{
-			Kind:          "record",
 			Figure:        e.rec.Figure,
 			Label:         e.rec.Label,
 			Route:         string(e.rec.Route),
@@ -122,7 +103,6 @@ func (l *Ledger) snapshotRecords() []RecordLine {
 			Artifact:      e.rec.Artifact,
 			ArtifactSHA:   e.rec.ArtifactSHA256,
 			ArtifactBytes: e.rec.ArtifactBytes,
-			Code:          l.code,
 			Stages:        e.rec.Stages,
 			Count:         e.count,
 		})
@@ -151,7 +131,6 @@ func (l *Ledger) snapshotCalls() []CallLine {
 	out := make([]CallLine, 0, len(l.calls))
 	for fp, e := range l.calls {
 		out = append(out, CallLine{
-			Kind:        "call",
 			Route:       string(RouteCache),
 			Label:       e.label,
 			Fingerprint: fp,
@@ -169,143 +148,35 @@ func (l *Ledger) snapshotCalls() []CallLine {
 	return out
 }
 
-// WriteManifest renders the ledger as a byte-stable NDJSON manifest,
-// embedding the producing process's counters in the summary line.
-func WriteManifest(w io.Writer, l *Ledger, c Counters) error {
+// Manifest renders the ledger's records and call lines, sorted, with a
+// summary that totals them and embeds the producing process's counters c.
+// A nil ledger renders an empty manifest.
+func (l *Ledger) Manifest(c Counters) Manifest {
+	m := Manifest{Records: []RecordLine{}, Calls: []CallLine{}, Summary: SummaryLine{Counters: c}}
 	if l == nil {
-		return errors.New("prov: no active ledger (enable provenance before running)")
+		return m
 	}
-	recs := l.snapshotRecords()
-	calls := l.snapshotCalls()
-	sum := SummaryLine{Kind: "summary", Counters: c}
-	for _, r := range recs {
-		sum.Evaluations += r.Count
-		sum.SimsAvoided += r.avoided()
+	m.Records, m.Calls = l.snapshotRecords(), l.snapshotCalls()
+	for _, r := range m.Records {
+		m.Summary.Evaluations += r.Count
+		m.Summary.SimsAvoided += r.avoided()
 		switch r.Route {
 		case string(RouteFooter):
-			sum.Routes.Footer += r.Count
+			m.Summary.Routes.Footer += r.Count
 		case string(RouteReplay):
-			sum.Routes.Replay += r.Count
+			m.Summary.Routes.Replay += r.Count
 		case string(RouteExec):
-			sum.Routes.Exec += r.Count
+			m.Summary.Routes.Exec += r.Count
 		}
 	}
-	for _, cl := range calls {
-		sum.Calls += cl.Calls
+	for _, cl := range m.Calls {
+		m.Summary.Calls += cl.Calls
 	}
-	bw := bufio.NewWriter(w)
-	writeLine := func(v any) error {
-		b, err := json.Marshal(v)
-		if err != nil {
-			return err
-		}
-		if _, err := bw.Write(b); err != nil {
-			return err
-		}
-		return bw.WriteByte('\n')
-	}
-	if err := writeLine(HeaderLine{Kind: "manifest", Version: ManifestVersion, Code: l.code}); err != nil {
-		return err
-	}
-	for _, r := range recs {
-		if err := writeLine(r); err != nil {
-			return err
-		}
-	}
-	for _, cl := range calls {
-		if err := writeLine(cl); err != nil {
-			return err
-		}
-	}
-	if err := writeLine(sum); err != nil {
-		return err
-	}
-	return bw.Flush()
+	return m
 }
 
-// ReadManifest parses an NDJSON manifest, enforcing line-level schema:
-// a version-1 header first, record/call lines, one summary last.
-func ReadManifest(r io.Reader) (*Manifest, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64<<10), 4<<20)
-	m := &Manifest{}
-	sawHeader, sawSummary := false, false
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		if sawSummary {
-			return nil, manifestErr(lineNo, "content after summary line")
-		}
-		var probe struct {
-			Kind string `json:"kind"`
-		}
-		if err := json.Unmarshal(line, &probe); err != nil {
-			return nil, manifestErr(lineNo, "not a JSON object: "+err.Error())
-		}
-		switch probe.Kind {
-		case "manifest":
-			if sawHeader {
-				return nil, manifestErr(lineNo, "duplicate header")
-			}
-			if err := json.Unmarshal(line, &m.Header); err != nil {
-				return nil, manifestErr(lineNo, err.Error())
-			}
-			if m.Header.Version != ManifestVersion {
-				return nil, manifestErr(lineNo, "unsupported manifest version "+strconv.Itoa(m.Header.Version))
-			}
-			sawHeader = true
-		case "record":
-			if !sawHeader {
-				return nil, manifestErr(lineNo, "record before header")
-			}
-			var rec RecordLine
-			if err := json.Unmarshal(line, &rec); err != nil {
-				return nil, manifestErr(lineNo, err.Error())
-			}
-			m.Records = append(m.Records, rec)
-		case "call":
-			if !sawHeader {
-				return nil, manifestErr(lineNo, "call before header")
-			}
-			var cl CallLine
-			if err := json.Unmarshal(line, &cl); err != nil {
-				return nil, manifestErr(lineNo, err.Error())
-			}
-			m.Calls = append(m.Calls, cl)
-		case "summary":
-			if !sawHeader {
-				return nil, manifestErr(lineNo, "summary before header")
-			}
-			if err := json.Unmarshal(line, &m.Summary); err != nil {
-				return nil, manifestErr(lineNo, err.Error())
-			}
-			sawSummary = true
-		default:
-			return nil, manifestErr(lineNo, "unknown line kind "+strconv.Quote(probe.Kind))
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if !sawHeader {
-		return nil, errors.New("prov: manifest has no header line")
-	}
-	if !sawSummary {
-		return nil, errors.New("prov: manifest has no summary line")
-	}
-	return m, nil
-}
-
-func manifestErr(line int, msg string) error {
-	return errors.New("prov: manifest line " + strconv.Itoa(line) + ": " + msg)
-}
-
-// validRoutes and validCounters bound the record vocabulary; Validate
-// additionally pins which counter each route may feed.
+// counterRoutes bounds the counter vocabulary and pins the route each
+// counter may ride.
 var counterRoutes = map[string]string{
 	CounterRecording: string(RouteExec),
 	CounterFooter:    string(RouteFooter),
@@ -337,9 +208,6 @@ func (m *Manifest) Validate() []string {
 		}
 		if len(r.Stages) == 0 {
 			bad(at + ": empty stage path")
-		}
-		if r.Code != m.Header.Code {
-			bad(at + ": code " + strconv.Quote(r.Code) + " != header " + strconv.Quote(m.Header.Code))
 		}
 		if (r.Artifact == "") != (r.ArtifactSHA == "") {
 			bad(at + ": artifact name and hash must come together")
@@ -409,8 +277,8 @@ func (m *Manifest) Validate() []string {
 	return problems
 }
 
-// FigureRoutes is the per-figure route aggregation behind the
-// lvareport -provenance table.
+// FigureRoutes is the per-figure route aggregation behind lvareport's
+// provenance table.
 type FigureRoutes struct {
 	Figure      string
 	Footer      uint64

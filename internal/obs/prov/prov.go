@@ -16,10 +16,9 @@
 // Records are deterministic by construction: route, justification,
 // fingerprint and artifact identity are functions of the design grid,
 // not of the schedule, so the rendered manifest (see manifest.go) is
-// byte-stable across parallelism levels. Scheduling-dependent detail —
-// wall time, queue wait, bytes decoded, whether a replay point was
-// served from the memo — is kept in volatile aggregates that never
-// enter the manifest.
+// byte-stable across parallelism levels. Nothing scheduling-dependent —
+// wall time, queue wait, decode volume — is recorded at all; the run
+// timeline is where those live.
 package prov
 
 import (
@@ -68,7 +67,7 @@ const (
 
 // Record is the deterministic provenance of one design-point evaluation:
 // the leaf of its span tree. Every field must be a function of the
-// design grid alone — anything scheduling-dependent belongs in Cost.
+// design grid alone.
 type Record struct {
 	// Figure is the owning experiment id ("fig4", "table1"), or a
 	// pseudo-figure for work no single figure owns deterministically:
@@ -103,51 +102,11 @@ type Record struct {
 	Stages []string
 }
 
-// Cost is the scheduling-dependent side of one evaluation: span wall
-// time, gate queue wait, decode volume, and (for replay routes) whether
-// the point was served fresh or from the in-process memo. Costs are
-// aggregated per record and exported only through volatile surfaces.
-type Cost struct {
-	WallUS       int64
-	QueueUS      int64
-	BytesDecoded int64
-	// Served is "fresh", "memo", or "" when the distinction does not
-	// apply.
-	Served string
-}
-
-// CostStats is a snapshot of the ledger's volatile decode/stream
-// accounting, fed by memsim.Replay, fullsys.Capture and fullsys.Decode.
-type CostStats struct {
-	// DecodePasses counts grid decode passes driven through
-	// memsim.Replay while the ledger was active.
-	DecodePasses uint64
-	// DecodedChunks / DecodedAccesses count what those passes decoded.
-	DecodedChunks   uint64
-	DecodedAccesses uint64
-	// DecodedBytes counts framed chunk bytes consumed (reported by the
-	// engine from the grid reader; includes chunk framing).
-	DecodedBytes uint64
-	// ReplaySims counts per-point simulators driven by the passes (one
-	// pass fans each access out to every pending design point).
-	ReplaySims uint64
-	// StreamedBlocks / StreamedAccesses count the blocks and accesses of
-	// the streams filed for the full-system model (fullsys.Capture and
-	// fullsys.Decode).
-	StreamedBlocks   uint64
-	StreamedAccesses uint64
-}
-
 // recEntry aggregates every evaluation that produced the same
 // deterministic Record.
 type recEntry struct {
-	rec     Record
-	count   uint64
-	wallUS  int64
-	queueUS int64
-	bytes   int64
-	memo    uint64
-	fresh   uint64
+	rec   Record
+	count uint64
 }
 
 // callEntry aggregates run-cache lookups per design-point fingerprint.
@@ -160,26 +119,14 @@ type callEntry struct {
 // Ledger accumulates provenance for one enablement session. All methods
 // are safe for concurrent use and nil-receiver safe.
 type Ledger struct {
-	code string
-
 	mu    sync.Mutex
 	recs  map[string]*recEntry
 	calls map[string]*callEntry
-
-	decodePasses    atomic.Uint64
-	decodedChunks   atomic.Uint64
-	decodedAccesses atomic.Uint64
-	decodedBytes    atomic.Uint64
-	replaySims      atomic.Uint64
-	streamedBlocks  atomic.Uint64
-	streamedAccs    atomic.Uint64
 }
 
-// New returns a fresh ledger stamped with the producing code version
-// (see the experiments GoldenCodeVersion constant).
-func New(code string) *Ledger {
+// New returns a fresh, empty ledger.
+func New() *Ledger {
 	return &Ledger{
-		code:  code,
 		recs:  make(map[string]*recEntry),
 		calls: make(map[string]*callEntry),
 	}
@@ -189,10 +136,9 @@ func New(code string) *Ledger {
 // atomic load away from knowing that.
 var active atomic.Pointer[Ledger]
 
-// Enable installs a fresh ledger stamped with code, replacing any
-// previous session. Enable before the first run so every evaluation of
-// the process is covered.
-func Enable(code string) { active.Store(New(code)) }
+// Enable installs a fresh ledger, replacing any previous session. Enable
+// before the first run so every evaluation of the process is covered.
+func Enable() { active.Store(New()) }
 
 // Disable ends the session and returns the final ledger (nil when none
 // was active). Subsequent evaluations emit nothing.
@@ -205,18 +151,9 @@ func Enabled() bool { return active.Load() != nil }
 // Callers must gate all record construction on the nil check.
 func Active() *Ledger { return active.Load() }
 
-// CodeVersion returns the code stamp the ledger was enabled with.
-func (l *Ledger) CodeVersion() string {
-	if l == nil {
-		return ""
-	}
-	return l.code
-}
-
 // Emit adds one design-point evaluation. Evaluations with identical
-// deterministic records aggregate into one entry with a count; costs
-// accumulate on the side.
-func (l *Ledger) Emit(r Record, c Cost) {
+// deterministic records aggregate into one entry with a count.
+func (l *Ledger) Emit(r Record) {
 	if l == nil {
 		return
 	}
@@ -228,15 +165,6 @@ func (l *Ledger) Emit(r Record, c Cost) {
 		l.recs[k] = e
 	}
 	e.count++
-	e.wallUS += c.WallUS
-	e.queueUS += c.QueueUS
-	e.bytes += c.BytesDecoded
-	switch c.Served {
-	case "memo":
-		e.memo++
-	case "fresh":
-		e.fresh++
-	}
 	l.mu.Unlock()
 }
 
@@ -257,50 +185,4 @@ func (l *Ledger) Call(fingerprint, label string, hit bool) {
 		e.hits++
 	}
 	l.mu.Unlock()
-}
-
-// AddDecode accounts one grid decode pass: chunks and accesses decoded,
-// fanned out to sims per-point simulators. Called by memsim.Replay.
-func (l *Ledger) AddDecode(chunks, accesses, sims uint64) {
-	if l == nil {
-		return
-	}
-	l.decodePasses.Add(1)
-	l.decodedChunks.Add(chunks)
-	l.decodedAccesses.Add(accesses)
-	l.replaySims.Add(sims)
-}
-
-// AddDecodedBytes accounts framed chunk bytes consumed by decode passes.
-func (l *Ledger) AddDecodedBytes(n uint64) {
-	if l == nil {
-		return
-	}
-	l.decodedBytes.Add(n)
-}
-
-// AddStream accounts one stream filed for phase 2 (fullsys.Capture or
-// fullsys.Decode): its blocks and accesses.
-func (l *Ledger) AddStream(blocks, accesses uint64) {
-	if l == nil {
-		return
-	}
-	l.streamedBlocks.Add(blocks)
-	l.streamedAccs.Add(accesses)
-}
-
-// Costs snapshots the volatile decode/stream accounting.
-func (l *Ledger) Costs() CostStats {
-	if l == nil {
-		return CostStats{}
-	}
-	return CostStats{
-		DecodePasses:     l.decodePasses.Load(),
-		DecodedChunks:    l.decodedChunks.Load(),
-		DecodedAccesses:  l.decodedAccesses.Load(),
-		DecodedBytes:     l.decodedBytes.Load(),
-		ReplaySims:       l.replaySims.Load(),
-		StreamedBlocks:   l.streamedBlocks.Load(),
-		StreamedAccesses: l.streamedAccs.Load(),
-	}
 }

@@ -2,14 +2,16 @@ package prov
 
 import (
 	"bytes"
+	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 )
 
-// sample builds a ledger carrying one of each line shape, with counters
+// sample builds a ledger carrying one of each entry shape, with counters
 // that reconcile exactly.
 func sample() (*Ledger, Counters) {
-	l := New("test-code")
+	l := New()
 	stages := []string{"schedule", "tracestore", "footer", "figure-append"}
 	l.Emit(Record{
 		Figure: "fig4", Label: "lva/canneal", Scheduler: "ctr",
@@ -17,19 +19,19 @@ func sample() (*Ledger, Counters) {
 		Fingerprint: "aaaa", Justification: "baseline",
 		Artifact: "aaaa.lvag", ArtifactSHA256: "ffff", ArtifactBytes: 10,
 		Stages: stages,
-	}, Cost{WallUS: 5})
+	})
 	l.Emit(Record{
 		Figure: "fig4", Label: "lvp/canneal", Scheduler: "ctr",
 		Route: RouteReplay, Counter: CounterReplayed,
 		Fingerprint: "bbbb", Justification: "lvp",
 		Stages: stages,
-	}, Cost{Served: "fresh"})
+	})
 	l.Emit(Record{
 		Figure: "tracestore", Label: "precise/canneal", Scheduler: "store",
 		Route: RouteExec, Counter: CounterRecording,
 		Fingerprint: "cccc", Justification: "cold",
 		Stages: stages,
-	}, Cost{})
+	})
 	l.Call("cccc", "precise/canneal", false)
 	l.Call("cccc", "precise/canneal", true)
 	return l, Counters{
@@ -41,24 +43,28 @@ func sample() (*Ledger, Counters) {
 	}
 }
 
+// TestManifestRoundTrip renders a ledger's manifest twice, requires the
+// JSON bytes to match, and reads them back into an equal manifest that
+// reconciles.
 func TestManifestRoundTrip(t *testing.T) {
 	l, c := sample()
-	var a, b bytes.Buffer
-	if err := WriteManifest(&a, l, c); err != nil {
-		t.Fatalf("WriteManifest: %v", err)
+	a, err := json.Marshal(l.Manifest(c))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := WriteManifest(&b, l, c); err != nil {
-		t.Fatalf("WriteManifest (second): %v", err)
+	b, err := json.Marshal(l.Manifest(c))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+	if !bytes.Equal(a, b) {
 		t.Error("two renders of the same ledger differ — manifest is not byte-stable")
 	}
-	m, err := ReadManifest(bytes.NewReader(a.Bytes()))
-	if err != nil {
-		t.Fatalf("ReadManifest: %v", err)
+	var m Manifest
+	if err := json.Unmarshal(a, &m); err != nil {
+		t.Fatalf("manifest JSON does not read back: %v", err)
 	}
-	if m.Header.Code != "test-code" || m.Header.Version != ManifestVersion {
-		t.Errorf("header = %+v", m.Header)
+	if !reflect.DeepEqual(m, l.Manifest(c)) {
+		t.Errorf("manifest changed across a JSON round trip:\n%+v\n%+v", m, l.Manifest(c))
 	}
 	if len(m.Records) != 3 || len(m.Calls) != 1 {
 		t.Fatalf("parsed %d records, %d calls; want 3, 1", len(m.Records), len(m.Calls))
@@ -77,12 +83,12 @@ func TestManifestRoundTrip(t *testing.T) {
 }
 
 func TestEmitAggregatesIdenticalRecords(t *testing.T) {
-	l := New("c")
+	l := New()
 	r := Record{Figure: "f", Label: "l", Scheduler: "ctr", Route: RouteReplay,
 		Counter: CounterReplayed, Fingerprint: "ab", Justification: "j",
 		Stages: []string{"s"}}
-	l.Emit(r, Cost{Served: "memo"})
-	l.Emit(r, Cost{Served: "fresh"})
+	l.Emit(r)
+	l.Emit(r)
 	recs := l.snapshotRecords()
 	if len(recs) != 1 || recs[0].Count != 2 {
 		t.Fatalf("snapshot = %+v, want one record with count 2", recs)
@@ -90,22 +96,10 @@ func TestEmitAggregatesIdenticalRecords(t *testing.T) {
 }
 
 func TestValidateCatchesMismatches(t *testing.T) {
-	render := func(l *Ledger, c Counters) *Manifest {
-		var buf bytes.Buffer
-		if err := WriteManifest(&buf, l, c); err != nil {
-			t.Fatalf("WriteManifest: %v", err)
-		}
-		m, err := ReadManifest(&buf)
-		if err != nil {
-			t.Fatalf("ReadManifest: %v", err)
-		}
-		return m
-	}
-
 	// Counter drift: the engine says 5 footer points, records sum to 1.
 	l, c := sample()
 	c.FooterPoints = 5
-	m := render(l, c)
+	m := l.Manifest(c)
 	if problems := m.Validate(); len(problems) == 0 ||
 		!strings.Contains(strings.Join(problems, "\n"), "counter/footer") {
 		t.Errorf("footer drift not reported: %v", problems)
@@ -114,7 +108,7 @@ func TestValidateCatchesMismatches(t *testing.T) {
 	// Call-vs-lookup drift.
 	l, c = sample()
 	c.RunCacheLookups = 7
-	if problems := render(l, c).Validate(); len(problems) == 0 {
+	if m := l.Manifest(c); len(m.Validate()) == 0 {
 		t.Error("run-cache lookup drift not reported")
 	}
 
@@ -122,34 +116,25 @@ func TestValidateCatchesMismatches(t *testing.T) {
 	l, c = sample()
 	l.Emit(Record{Figure: "f", Label: "l", Scheduler: "ctr", Route: RouteExec,
 		Counter: CounterFooter, Fingerprint: "dd", Justification: "j",
-		Stages: []string{"s"}}, Cost{})
-	if problems := render(l, c).Validate(); len(problems) == 0 {
+		Stages: []string{"s"}})
+	if m := l.Manifest(c); len(m.Validate()) == 0 {
 		t.Error("counter on wrong route not reported")
 	}
 
 	// Tampered summary.
 	l, c = sample()
-	m = render(l, c)
+	m = l.Manifest(c)
 	m.Summary.Evaluations++
 	if problems := m.Validate(); len(problems) == 0 {
 		t.Error("tampered evaluation total not reported")
 	}
-}
 
-func TestReadManifestRejectsMalformed(t *testing.T) {
-	cases := map[string]string{
-		"no header":     `{"kind":"record","figure":"f"}`,
-		"no summary":    `{"kind":"manifest","version":1,"code":"c"}`,
-		"bad version":   `{"kind":"manifest","version":9,"code":"c"}`,
-		"unknown kind":  `{"kind":"manifest","version":1,"code":"c"}` + "\n" + `{"kind":"wat"}`,
-		"after summary": `{"kind":"manifest","version":1,"code":"c"}` + "\n" + `{"kind":"summary"}` + "\n" + `{"kind":"call"}`,
-		"not an object": `nope`,
-		"double header": `{"kind":"manifest","version":1,"code":"c"}` + "\n" + `{"kind":"manifest","version":1,"code":"c"}`,
-	}
-	for name, doc := range cases {
-		if _, err := ReadManifest(strings.NewReader(doc)); err == nil {
-			t.Errorf("%s: ReadManifest accepted a malformed document", name)
-		}
+	// A record removed after rendering.
+	l, c = sample()
+	m = l.Manifest(c)
+	m.Records = m.Records[1:]
+	if problems := m.Validate(); len(problems) == 0 {
+		t.Error("missing record not reported")
 	}
 }
 
@@ -157,16 +142,11 @@ func TestReadManifestRejectsMalformed(t *testing.T) {
 // nil receiver, so call sites only need the one Active() nil check.
 func TestNilLedgerSafe(t *testing.T) {
 	var l *Ledger
-	l.Emit(Record{}, Cost{})
+	l.Emit(Record{})
 	l.Call("x", "y", true)
-	l.AddDecode(1, 2, 3)
-	l.AddDecodedBytes(4)
-	l.AddStream(5, 6)
-	if l.CodeVersion() != "" || l.Costs() != (CostStats{}) {
-		t.Error("nil ledger returned non-zero state")
-	}
-	if err := WriteManifest(&bytes.Buffer{}, nil, Counters{}); err == nil {
-		t.Error("WriteManifest(nil) must error")
+	m := l.Manifest(Counters{})
+	if len(m.Records) != 0 || len(m.Calls) != 0 || m.Summary != (SummaryLine{}) {
+		t.Errorf("nil ledger rendered a non-empty manifest: %+v", m)
 	}
 }
 
@@ -188,13 +168,10 @@ func TestDisabledPathAllocsFree(t *testing.T) {
 }
 
 func TestEnableDisable(t *testing.T) {
-	Enable("v1")
+	Enable()
 	defer Disable()
-	if !Enabled() {
-		t.Fatal("Enabled() false after Enable")
-	}
-	if got := Active().CodeVersion(); got != "v1" {
-		t.Errorf("CodeVersion = %q, want v1", got)
+	if !Enabled() || Active() == nil {
+		t.Fatal("no active ledger after Enable")
 	}
 	l := Disable()
 	if l == nil || Enabled() {

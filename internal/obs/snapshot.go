@@ -95,15 +95,6 @@ func (s Snapshot) JSON() ([]byte, error) {
 	return append(b, '\n'), nil
 }
 
-// ParseSnapshot decodes bytes written by Snapshot.JSON.
-func ParseSnapshot(b []byte) (Snapshot, error) {
-	var s Snapshot
-	if err := json.Unmarshal(b, &s); err != nil {
-		return Snapshot{}, fmt.Errorf("obs: parse snapshot: %w", err)
-	}
-	return s, nil
-}
-
 // Markdown renders the snapshot as a GitHub-flavored table, one row per
 // metric. Histograms report their total count plus the non-empty buckets
 // inline, so a report stays readable without losing the distribution.

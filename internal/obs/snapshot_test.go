@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -69,15 +70,16 @@ func TestSnapshotVolatileFilter(t *testing.T) {
 	}
 }
 
-// TestSnapshotRoundTrip checks ParseSnapshot inverts JSON.
+// TestSnapshotRoundTrip checks decoding JSON's output gives back a
+// snapshot that renders the same bytes.
 func TestSnapshotRoundTrip(t *testing.T) {
 	s := buildTestRegistry().Snapshot(true)
 	b, err := s.JSON()
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ParseSnapshot(b)
-	if err != nil {
+	var got Snapshot
+	if err := json.Unmarshal(b, &got); err != nil {
 		t.Fatal(err)
 	}
 	b2, err := got.JSON()
@@ -86,9 +88,6 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 	if !bytes.Equal(b, b2) {
 		t.Fatalf("round trip changed bytes:\n%s\n---\n%s", b, b2)
-	}
-	if _, err := ParseSnapshot([]byte("{nope")); err == nil {
-		t.Error("ParseSnapshot should reject malformed input")
 	}
 }
 

@@ -3,35 +3,7 @@
 // registry counters are race-safe under the cross-figure scheduler.
 package stats
 
-import (
-	"fmt"
-	"math"
-	"sort"
-)
-
-// Ratio returns a/b, or 0 when b is zero.
-func Ratio(a, b uint64) float64 {
-	if b == 0 {
-		return 0
-	}
-	return float64(a) / float64(b)
-}
-
-// PerKilo returns events per thousand units (e.g. misses per kilo-instruction).
-func PerKilo(events, units uint64) float64 {
-	if units == 0 {
-		return 0
-	}
-	return float64(events) * 1000 / float64(units)
-}
-
-// SafeDiv returns a/b, or 0 when b is zero.
-func SafeDiv(a, b float64) float64 {
-	if b == 0 {
-		return 0
-	}
-	return a / b
-}
+import "fmt"
 
 // Mean returns the arithmetic mean of xs (0 for empty input).
 func Mean(xs []float64) float64 {
@@ -45,102 +17,7 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// Geomean returns the geometric mean of xs. Non-positive entries are clamped
-// to a tiny positive value so a single zero does not annihilate the mean;
-// callers compare normalized ratios where zero means "no events".
-func Geomean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range xs {
-		if x <= 0 {
-			x = 1e-12
-		}
-		s += math.Log(x)
-	}
-	return math.Exp(s / float64(len(xs)))
-}
-
-// Min returns the smallest of xs (0 for empty input).
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Max returns the largest of xs (0 for empty input).
-func Max(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Median returns the median of xs (0 for empty input). xs is not modified.
-func Median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	cp := append([]float64(nil), xs...)
-	sort.Float64s(cp)
-	n := len(cp)
-	if n%2 == 1 {
-		return cp[n/2]
-	}
-	return (cp[n/2-1] + cp[n/2]) / 2
-}
-
-// Stddev returns the population standard deviation of xs.
-func Stddev(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := Mean(xs)
-	var s float64
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(xs)))
-}
-
 // Percent formats a fraction (0.123) as a percentage string ("12.3%").
 func Percent(frac float64) string {
 	return fmt.Sprintf("%.1f%%", frac*100)
-}
-
-// Clamp bounds x to [lo, hi].
-func Clamp(x, lo, hi float64) float64 {
-	if x < lo {
-		return lo
-	}
-	if x > hi {
-		return hi
-	}
-	return x
-}
-
-// ClampInt bounds x to [lo, hi].
-func ClampInt(x, lo, hi int) int {
-	if x < lo {
-		return lo
-	}
-	if x > hi {
-		return hi
-	}
-	return x
 }

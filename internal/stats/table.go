@@ -8,10 +8,9 @@ import (
 // Table accumulates rows of strings and renders them with aligned columns.
 // Experiment drivers use it to print the same rows/series the paper reports.
 type Table struct {
-	Title   string
-	header  []string
-	rows    [][]string
-	aligned bool
+	Title  string
+	header []string
+	rows   [][]string
 }
 
 // NewTable creates a table with the given title and column headers.
@@ -23,18 +22,6 @@ func NewTable(title string, header ...string) *Table {
 func (t *Table) AddRow(cells ...string) {
 	t.rows = append(t.rows, cells)
 }
-
-// AddRowf appends a row built from (label, formatted floats).
-func (t *Table) AddRowf(label string, format string, vals ...float64) {
-	row := []string{label}
-	for _, v := range vals {
-		row = append(row, fmt.Sprintf(format, v))
-	}
-	t.rows = append(t.rows, row)
-}
-
-// NumRows reports how many data rows have been added.
-func (t *Table) NumRows() int { return len(t.rows) }
 
 // String renders the table with fixed-width columns.
 func (t *Table) String() string {
