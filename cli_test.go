@@ -53,6 +53,20 @@ func buildCLI(t *testing.T, name string) string {
 		}
 		cliDir = d
 	}
+	// The test cache keys on the files a test opens, and the child go build
+	// below opens nothing on the test's behalf. Reading the command's
+	// sources makes an edit under cmd/<name> rerun these tests instead of
+	// reporting a cached pass for the old binary; the root package's own
+	// dependencies cover every other package the command imports.
+	srcs, err := filepath.Glob(filepath.Join("cmd", name, "*.go"))
+	if err != nil || len(srcs) == 0 {
+		t.Fatalf("no sources for cmd/%s: %v", name, err)
+	}
+	for _, src := range srcs {
+		if _, err := os.ReadFile(src); err != nil {
+			t.Fatal(err)
+		}
+	}
 	bin := filepath.Join(cliDir, name)
 	cmd := exec.Command("go", "build", "-o", bin, "./cmd/"+name)
 	cmd.Env = os.Environ()

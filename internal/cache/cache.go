@@ -1,7 +1,8 @@
 // Package cache implements a set-associative, write-allocate cache model
-// with true-LRU replacement. It is used for the 64 KB private L1 of the
-// phase-1 (Pin-like) simulator, the 16 KB L1s of the phase-2 full-system
-// simulator, and the distributed shared-L2 banks.
+// with true-LRU replacement, kept as a recency order within each set. It is
+// used for the 64 KB private L1 of the phase-1 (Pin-like) simulator, the
+// 16 KB L1s of the phase-2 full-system simulator, and the distributed
+// shared-L2 banks.
 package cache
 
 import (
@@ -26,8 +27,9 @@ func (c Config) Validate() error {
 	switch {
 	case c.SizeBytes <= 0:
 		return fmt.Errorf("cache: size must be positive, got %d", c.SizeBytes)
-	case c.Ways <= 0:
-		return fmt.Errorf("cache: ways must be positive, got %d", c.Ways)
+	case c.Ways <= 0 || c.Ways&(c.Ways-1) != 0:
+		// A set's first flat index is idx &^ (Ways-1): see toFront.
+		return fmt.Errorf("cache: ways must be a positive power of two, got %d", c.Ways)
 	case c.BlockBytes <= 0 || c.BlockBytes&(c.BlockBytes-1) != 0:
 		return fmt.Errorf("cache: block size must be a positive power of two, got %d", c.BlockBytes)
 	case c.SizeBytes%(c.Ways*c.BlockBytes) != 0:
@@ -65,33 +67,29 @@ const (
 	flagPrefetch       // inserted by a prefetcher, not yet demanded
 )
 
-// meta is the per-line state the probe does not need: recency and flag
-// bits. It lives in its own slice so the tag scan stays dense.
-type meta struct {
-	lru   uint64 // larger = more recently used
-	flags uint8
-}
-
 // Cache is a set-associative cache. It tracks block presence and
 // recency only; data payloads live with the workloads.
 type Cache struct {
 	cfg Config
-	// tags[set*ways+way] holds the line's key: tag<<1|1, or 0 when the way
-	// is invalid. Keys are always odd, so an invalid way can never match a
-	// probe, and validity needs no separate flag. Keeping bare keys in
-	// their own slice means one 8-way set's tags span a single 64-byte
-	// host cache line — the probe below is the hottest loop in the
-	// repository. (The shift drops tag bit 63; simulated addresses are
-	// synthetic and nowhere near 2^63.)
+	// tags[set*ways+pos] holds a line's key: tag<<1|1, or 0 for an empty
+	// slot. Keys are always odd, so an empty slot can never match a probe,
+	// and validity needs no separate flag. Each set is kept in recency
+	// order: position 0 holds the most recently used line, and a hit or a
+	// fill moves its line there, so the valid lines' positions order them
+	// by last touch and the last valid position is the LRU line. Keeping
+	// bare keys in their own slice means one 8-way set's tags span a
+	// single 64-byte host cache line — the probe below is the hottest loop
+	// in the repository. (The shift drops tag bit 63; simulated addresses
+	// are synthetic and nowhere near 2^63.)
 	tags []uint64
-	// meta[set*ways+way] carries recency + dirty/prefetch bits, touched
-	// only after a probe resolves a way.
-	meta       []meta
+	// flags[i] holds the dirty/prefetch bits of the line at tags[i] and
+	// moves with it.
+	flags      []uint8
 	ways       int
+	wayMask    int // ways-1
 	setMask    uint64
 	setBits    uint // popcount of setMask, precomputed: index/rebuild are the hottest ops
 	blockShift uint
-	clock      uint64
 	stats      Stats
 	// PrefetchHits counts demand accesses whose block was brought in by a
 	// prefetch (useful-prefetch accounting for Figure 8).
@@ -108,8 +106,9 @@ func New(cfg Config) *Cache {
 	return &Cache{
 		cfg:        cfg,
 		tags:       make([]uint64, cfg.Sets()*cfg.Ways),
-		meta:       make([]meta, cfg.Sets()*cfg.Ways),
+		flags:      make([]uint8, cfg.Sets()*cfg.Ways),
 		ways:       cfg.Ways,
+		wayMask:    cfg.Ways - 1,
 		setMask:    mask,
 		setBits:    uint(bits.OnesCount64(mask)),
 		blockShift: uint(bits.TrailingZeros64(uint64(cfg.BlockBytes))),
@@ -157,9 +156,10 @@ func (c *Cache) Contains(addr uint64) bool {
 }
 
 // Probe returns the flat line index of addr's block, or -1 on a miss. It
-// performs no accounting: hot callers (the phase-1 simulator) pair it with
-// Touch/TouchStore on a hit and keep their own demand counters, so the
-// whole hit path inlines into the caller with no cache-package call frame.
+// performs no accounting: hot callers (memsim's load path and fullsys's
+// step) pair it with Touch/TouchStore on a hit and keep their own demand
+// counters, so a hit on a set's most recent line inlines into the caller
+// with no cache-package call frame.
 func (c *Cache) Probe(addr uint64) int {
 	blk := addr >> c.blockShift
 	base := int(blk&c.setMask) * c.ways
@@ -174,27 +174,63 @@ func (c *Cache) Probe(addr uint64) int {
 }
 
 // Touch refreshes recency and prefetch accounting for the line at the flat
-// index a Probe hit returned.
+// index a Probe hit returned. The line moves to the front of its set, so
+// idx no longer names it afterwards. A hit on a set's most recent line
+// that was not prefetched, the common case, is two tests and no call.
 func (c *Cache) Touch(idx int) {
-	c.clock++
-	m := &c.meta[idx]
-	m.lru = c.clock
-	if m.flags&flagPrefetch != 0 {
-		m.flags &^= flagPrefetch
-		c.PrefetchHits++
+	if c.flags[idx]&flagPrefetch != 0 || idx&c.wayMask != 0 {
+		c.touch(idx, 0)
 	}
 }
 
 // TouchStore is Touch plus the store path's dirty bit.
 func (c *Cache) TouchStore(idx int) {
-	c.clock++
-	m := &c.meta[idx]
-	m.lru = c.clock
-	m.flags |= flagDirty
-	if m.flags&flagPrefetch != 0 {
-		m.flags &^= flagPrefetch
+	if c.flags[idx] != flagDirty || idx&c.wayMask != 0 {
+		c.touch(idx, flagDirty)
+	}
+}
+
+// touch is the out-of-line rest of Touch and TouchStore: it ORs add into
+// the line's flags, counts and clears a prefetch bit, and moves the line to
+// the front of its set. Kept out of line so that Touch and TouchStore,
+// which call it, stay within the inliner's budget.
+//
+//go:noinline
+func (c *Cache) touch(idx int, add uint8) {
+	f := c.flags[idx] | add
+	if f&flagPrefetch != 0 {
+		f &^= flagPrefetch
 		c.PrefetchHits++
 	}
+	c.toFront(idx, f)
+}
+
+// toFront moves the line at flat index idx to position 0 of its set with
+// flags f. It empties the line's slot and pushes the line in at the front,
+// so the more recent lines shift back one place into that slot, or into an
+// earlier empty one. idx &^ wayMask is the set's first index because
+// Validate requires a power-of-two way count.
+func (c *Cache) toFront(idx int, f uint8) {
+	base := idx &^ c.wayMask
+	key := c.tags[idx]
+	c.tags[idx] = 0
+	push(c.tags[base:idx+1], c.flags[base:idx+1], key, f)
+}
+
+// push inserts a line at position 0 of a set window w (keys) and fw
+// (flags), carrying each displaced line one place back until an empty
+// slot takes it. It returns the line that drops out of the last position,
+// with key 0 if an empty slot absorbed the shift.
+func push(w []uint64, fw []uint8, key uint64, flags uint8) (uint64, uint8) {
+	fw = fw[:len(w)] // drops fw's bounds checks in the loop
+	for i := range w {
+		w[i], key = key, w[i]
+		fw[i], flags = flags, fw[i]
+		if key == 0 {
+			break
+		}
+	}
+	return key, flags
 }
 
 // Load performs a demand load of addr, with hit/miss accounting in the
@@ -233,9 +269,9 @@ func (c *Cache) Fill(addr uint64, prefetched bool) (evicted uint64, wasValid, wa
 	w, base := c.window(set)
 	key := tag<<1 | 1
 	if i := probe(w, key); i >= 0 {
-		// Already resident (e.g. prefetch raced a demand fill): refresh.
-		c.clock++
-		c.meta[base+i].lru = c.clock
+		// Already resident (e.g. prefetch raced a demand fill): refresh
+		// recency only, leaving the prefetch bit and PrefetchHits alone.
+		c.toFront(base+i, c.flags[base+i])
 		return 0, false, false
 	}
 	return c.fill(set, w, base, key, prefetched)
@@ -251,41 +287,26 @@ func (c *Cache) FillAbsent(addr uint64, prefetched bool) (evicted uint64, wasVal
 	return c.fill(set, w, base, tag<<1|1, prefetched)
 }
 
-// fill inserts key into the set window, evicting if every way is valid.
+// fill pushes key in at the front of the set window. The shift ends in the
+// first empty slot, or else drops the line in the last position: the least
+// recently used one, since positions order valid lines by their last touch
+// or fill.
 func (c *Cache) fill(set uint64, w []uint64, base int, key uint64, prefetched bool) (evicted uint64, wasValid, wasDirty bool) {
 	c.stats.Fills++
-	mw := c.meta[base : base+c.ways]
-	// One pass: first invalid way wins, else the first way with minimal
-	// recency (identical choice to scanning twice, at half the loads).
-	victim := -1
-	minIdx := 0
-	for i := range w {
-		if w[i] == 0 {
-			victim = i
-			break
-		}
-		if mw[i].lru < mw[minIdx].lru {
-			minIdx = i
-		}
-	}
-	if victim < 0 {
-		victim = minIdx
-		c.stats.Evictions++
-		if mw[victim].flags&flagDirty != 0 {
-			c.stats.Writebacks++
-			wasDirty = true
-		}
-		evicted = c.rebuild(set, w[victim]>>1)
-		wasValid = true
-	}
-	c.clock++
 	var flags uint8
 	if prefetched {
 		flags = flagPrefetch
 	}
-	w[victim] = key
-	mw[victim] = meta{lru: c.clock, flags: flags}
-	return evicted, wasValid, wasDirty
+	old, oldFlags := push(w, c.flags[base:base+len(w)], key, flags)
+	if old == 0 {
+		return 0, false, false
+	}
+	c.stats.Evictions++
+	if oldFlags&flagDirty != 0 {
+		c.stats.Writebacks++
+		wasDirty = true
+	}
+	return c.rebuild(set, old>>1), true, wasDirty
 }
 
 // rebuild reconstructs a block address from set index and tag.
@@ -299,9 +320,9 @@ func (c *Cache) Invalidate(addr uint64) (present, dirty bool) {
 	set, tag := c.index(addr)
 	w, base := c.window(set)
 	if i := probe(w, tag<<1|1); i >= 0 {
-		present, dirty = true, c.meta[base+i].flags&flagDirty != 0
+		present, dirty = true, c.flags[base+i]&flagDirty != 0
 		w[i] = 0
-		c.meta[base+i] = meta{}
+		c.flags[base+i] = 0
 	}
 	return present, dirty
 }
@@ -312,7 +333,7 @@ func (c *Cache) MarkDirty(addr uint64) {
 	set, tag := c.index(addr)
 	w, base := c.window(set)
 	if i := probe(w, tag<<1|1); i >= 0 {
-		c.meta[base+i].flags |= flagDirty
+		c.flags[base+i] |= flagDirty
 	}
 }
 

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -20,6 +21,7 @@ func TestConfigValidate(t *testing.T) {
 		{SizeBytes: 1024, Ways: 2, BlockBytes: 48},     // not power of two
 		{SizeBytes: 1000, Ways: 2, BlockBytes: 64},     // not divisible
 		{SizeBytes: 1024 * 3, Ways: 2, BlockBytes: 64}, // 24 sets: not pow2
+		{SizeBytes: 1536, Ways: 3, BlockBytes: 64},     // 8 sets of 3 ways: ways not pow2
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
@@ -224,5 +226,203 @@ func TestEvictedAddressReconstruction(t *testing.T) {
 	}
 	if evicted != set0[0] {
 		t.Fatalf("evicted %#x, want %#x", evicted, set0[0])
+	}
+}
+
+// stampCache is the reference true LRU, kept by timestamps: every line
+// carries the clock value of its last touch or fill, and a fill takes the
+// first invalid way, else the way with the smallest stamp. A Fill of a
+// resident line refreshes its stamp and nothing else. TestMatchesStampLRU
+// drives it beside Cache.
+type stampCache struct {
+	cfg          Config
+	keys, lru    []uint64
+	flags        []uint8
+	clock        uint64
+	stats        Stats
+	prefetchHits uint64
+}
+
+func newStampCache(cfg Config) *stampCache {
+	n := cfg.Sets() * cfg.Ways
+	return &stampCache{cfg: cfg, keys: make([]uint64, n), lru: make([]uint64, n), flags: make([]uint8, n)}
+}
+
+// set returns the flat index of addr's first way and addr's key.
+func (r *stampCache) set(addr uint64) (base int, key uint64) {
+	blk := addr / uint64(r.cfg.BlockBytes)
+	sets := uint64(r.cfg.Sets())
+	return int(blk%sets) * r.cfg.Ways, blk/sets<<1 | 1
+}
+
+func (r *stampCache) find(addr uint64) int {
+	base, key := r.set(addr)
+	for i := base; i < base+r.cfg.Ways; i++ {
+		if r.keys[i] == key {
+			return i
+		}
+	}
+	return -1
+}
+
+func (r *stampCache) touch(i int, store bool) {
+	r.clock++
+	r.lru[i] = r.clock
+	if store {
+		r.flags[i] |= flagDirty
+	}
+	if r.flags[i]&flagPrefetch != 0 {
+		r.flags[i] &^= flagPrefetch
+		r.prefetchHits++
+	}
+}
+
+// access is Load (store false) or Store (store true).
+func (r *stampCache) access(addr uint64, store bool) bool {
+	if store {
+		r.stats.Stores++
+	} else {
+		r.stats.Loads++
+	}
+	if i := r.find(addr); i >= 0 {
+		r.touch(i, store)
+		return true
+	}
+	if store {
+		r.stats.StoreMiss++
+	} else {
+		r.stats.LoadMiss++
+	}
+	return false
+}
+
+func (r *stampCache) fill(addr uint64, prefetched bool) (evicted uint64, wasValid, wasDirty bool) {
+	if i := r.find(addr); i >= 0 {
+		r.clock++
+		r.lru[i] = r.clock
+		return 0, false, false
+	}
+	r.stats.Fills++
+	base, key := r.set(addr)
+	victim := base
+	for i := base; i < base+r.cfg.Ways; i++ {
+		if r.keys[i] == 0 {
+			victim = i
+			break
+		}
+		if r.lru[i] < r.lru[victim] {
+			victim = i
+		}
+	}
+	if r.keys[victim] != 0 {
+		r.stats.Evictions++
+		wasValid = true
+		if r.flags[victim]&flagDirty != 0 {
+			r.stats.Writebacks++
+			wasDirty = true
+		}
+		set := uint64(victim / r.cfg.Ways)
+		evicted = (r.keys[victim]>>1*uint64(r.cfg.Sets()) + set) * uint64(r.cfg.BlockBytes)
+	}
+	r.clock++
+	r.keys[victim], r.lru[victim], r.flags[victim] = key, r.clock, 0
+	if prefetched {
+		r.flags[victim] = flagPrefetch
+	}
+	return evicted, wasValid, wasDirty
+}
+
+func (r *stampCache) invalidate(addr uint64) (present, dirty bool) {
+	if i := r.find(addr); i >= 0 {
+		present, dirty = true, r.flags[i]&flagDirty != 0
+		r.keys[i], r.flags[i] = 0, 0
+	}
+	return present, dirty
+}
+
+func (r *stampCache) markDirty(addr uint64) {
+	if i := r.find(addr); i >= 0 {
+		r.flags[i] |= flagDirty
+	}
+}
+
+func (r *stampCache) occupancy() int {
+	n := 0
+	for _, k := range r.keys {
+		if k != 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// TestMatchesStampLRU drives Cache and the stamp-based stampCache with the
+// same random operations over 2-, 8- and 16-way geometries, on three
+// times as many blocks as the cache holds, and requires every return
+// value, the Stats, PrefetchHits and Occupancy to agree after every step.
+// Invalidations leave holes in the middle of sets. Each geometry must also
+// have re-filled a resident prefetched line, which refreshes its recency
+// but neither clears the prefetch bit nor counts a prefetch hit.
+func TestMatchesStampLRU(t *testing.T) {
+	for _, cfg := range []Config{
+		{SizeBytes: 1024, Ways: 2, BlockBytes: 64},  // 8 sets
+		{SizeBytes: 2048, Ways: 8, BlockBytes: 64},  // 4 sets
+		{SizeBytes: 4096, Ways: 16, BlockBytes: 64}, // 4 sets
+	} {
+		c, ref := New(cfg), newStampCache(cfg)
+		blocks := uint64(3 * cfg.Sets() * cfg.Ways)
+		rng := uint64(cfg.Ways)
+		prefetchRefills := 0
+		for step := 0; step < 100000; step++ {
+			rng = rng*6364136223846793005 + 1442695040888963407
+			addr := (rng>>33)%blocks*64 + (rng>>20)%64
+			prefetched := (rng>>60)&1 != 0
+			var got, want string
+			switch (rng >> 40) % 9 {
+			case 0:
+				got, want = fmt.Sprint(c.Load(addr)), fmt.Sprint(ref.access(addr, false))
+			case 1:
+				got, want = fmt.Sprint(c.Store(addr)), fmt.Sprint(ref.access(addr, true))
+			case 2, 3: // the phase-1 and phase-2 hit path
+				store := (rng>>40)%9 == 3
+				idx, i := c.Probe(addr), ref.find(addr)
+				got, want = fmt.Sprint(idx >= 0), fmt.Sprint(i >= 0)
+				if idx >= 0 && i >= 0 {
+					if store {
+						c.TouchStore(idx)
+					} else {
+						c.Touch(idx)
+					}
+					ref.touch(i, store)
+				}
+			case 4:
+				if i := ref.find(addr); i >= 0 && ref.flags[i]&flagPrefetch != 0 {
+					prefetchRefills++
+				}
+				got, want = fmt.Sprint(c.Fill(addr, prefetched)), fmt.Sprint(ref.fill(addr, prefetched))
+			case 5: // FillAbsent after a miss, demand or prefetched
+				if c.Probe(addr) < 0 {
+					got, want = fmt.Sprint(c.FillAbsent(addr, prefetched)), fmt.Sprint(ref.fill(addr, prefetched))
+				}
+			case 6:
+				got, want = fmt.Sprint(c.Invalidate(addr)), fmt.Sprint(ref.invalidate(addr))
+			case 7:
+				c.MarkDirty(addr)
+				ref.markDirty(addr)
+			case 8:
+				got, want = fmt.Sprint(c.Contains(addr)), fmt.Sprint(ref.find(addr) >= 0)
+			}
+			if got != want {
+				t.Fatalf("%d-way, step %d, addr %#x: got %s, stamp LRU gives %s", cfg.Ways, step, addr, got, want)
+			}
+			if c.Stats() != ref.stats || c.PrefetchHits != ref.prefetchHits || c.Occupancy() != ref.occupancy() {
+				t.Fatalf("%d-way, step %d: stats %+v, %d prefetch hits, %d lines; stamp LRU has %+v, %d, %d",
+					cfg.Ways, step, c.Stats(), c.PrefetchHits, c.Occupancy(), ref.stats, ref.prefetchHits, ref.occupancy())
+			}
+		}
+		if prefetchRefills == 0 {
+			t.Errorf("%d-way: no Fill of a resident prefetched line was exercised", cfg.Ways)
+		}
+		t.Logf("%d-way: %+v, %d prefetch hits, %d fills of a resident prefetched line", cfg.Ways, c.Stats(), c.PrefetchHits, prefetchRefills)
 	}
 }

@@ -414,6 +414,10 @@ func Decode(cores, threads int, src trace.ChunkSource) (*Stream, error) {
 
 // Sim is the full-system simulator. Build with New, then feed it a
 // recording with RunStream, or a captured or decoded Stream with Run.
+//
+// Phase 2's L1 demand counts are Result.Loads, Stores and L1LoadMisses.
+// step takes L1 hits inline with Probe and Touch/TouchStore, so the L1s'
+// own Stats count fills and evictions but no loads, stores or misses.
 type Sim struct {
 	cfg   Config
 	mesh  *noc.Mesh
@@ -606,12 +610,17 @@ func (s *Sim) step(c *coreState, a *record) {
 	c.cycleQ++
 	now := c.cycles()
 
-	block := s.l1[c.id].BlockAddr(a.addr)
+	l1 := s.l1[c.id]
+	block := l1.BlockAddr(a.addr)
 	s.tally.L1Accesses++
 
+	// Probe plus Touch/TouchStore instead of l1.Load/Store: all three
+	// inline, so a hit to a set's most recent line makes no cache-package
+	// call. The demand counts live in s.res, not in the L1's Stats.
 	if a.flags&recStore != 0 {
 		s.res.Stores++
-		if s.l1[c.id].Store(a.addr) {
+		if idx := l1.Probe(a.addr); idx >= 0 {
+			l1.TouchStore(idx)
 			// Hit: may still need ownership.
 			if s.dir.StateOf(block) != coherence.Modified {
 				s.storeUpgrade(c.id, block, now)
@@ -621,7 +630,7 @@ func (s *Sim) step(c *coreState, a *record) {
 		// Store miss: write-allocate through the store buffer; the core
 		// does not stall beyond MSHR availability.
 		s.issueFetch(c, block, true, false)
-		s.l1[c.id].MarkDirty(a.addr)
+		l1.MarkDirty(a.addr)
 		return
 	}
 
@@ -629,7 +638,8 @@ func (s *Sim) step(c *coreState, a *record) {
 	if c.approx != nil {
 		c.approx.OnLoad()
 	}
-	if s.l1[c.id].Load(a.addr) {
+	if idx := l1.Probe(a.addr); idx >= 0 {
+		l1.Touch(idx)
 		return
 	}
 	s.res.L1LoadMisses++

@@ -58,8 +58,13 @@ type Stats struct {
 // Mesh is the interconnect model. Not safe for concurrent use.
 type Mesh struct {
 	cfg      Config
+	nodes    int
 	linkFree []uint64 // busy-until cycle per directed link
-	stats    Stats
+	// routes[src*nodes+dst] lists the linkFree indices of the XY route
+	// from src to dst in hop order. New walks each route once, so Send
+	// does no coordinate arithmetic.
+	routes [][]int32
+	stats  Stats
 }
 
 // New builds a mesh; it panics on an invalid Config.
@@ -67,7 +72,24 @@ func New(cfg Config) *Mesh {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	return &Mesh{cfg: cfg, linkFree: make([]uint64, cfg.Nodes()*directions)}
+	n := cfg.Nodes()
+	m := &Mesh{
+		cfg:      cfg,
+		nodes:    n,
+		linkFree: make([]uint64, n*directions),
+		routes:   make([][]int32, n*n),
+	}
+	// One backing array for all routes: no route is longer than
+	// Width+Height-2 hops.
+	links := make([]int32, 0, n*n*(cfg.Width+cfg.Height-2))
+	for r := range m.routes {
+		start := len(links)
+		cfg.walk(r/n, r%n, func(from, dir, _ int) {
+			links = append(links, int32(from*directions+dir))
+		})
+		m.routes[r] = links[start:]
+	}
+	return m
 }
 
 // Config returns the mesh configuration.
@@ -76,79 +98,61 @@ func (m *Mesh) Config() Config { return m.cfg }
 // Stats returns a copy of the counters.
 func (m *Mesh) Stats() Stats { return m.stats }
 
-func (m *Mesh) coord(n int) (x, y int) { return n % m.cfg.Width, n / m.cfg.Width }
-func (m *Mesh) node(x, y int) int      { return y*m.cfg.Width + x }
+// walk calls hop for each hop of the XY route from src to dst, X first and
+// then Y, with the node the hop leaves, its direction and the node it
+// reaches.
+func (c Config) walk(src, dst int, hop func(from, dir, to int)) {
+	at := src
+	step := func(dir, delta int) { hop(at, dir, at+delta); at += delta }
+	x, y := src%c.Width, src/c.Width
+	dx, dy := dst%c.Width, dst/c.Width
+	for ; x < dx; x++ {
+		step(east, 1)
+	}
+	for ; x > dx; x-- {
+		step(west, -1)
+	}
+	for ; y < dy; y++ {
+		step(south, c.Width)
+	}
+	for ; y > dy; y-- {
+		step(north, -c.Width)
+	}
+}
 
 // Route returns the XY-routed node sequence from src to dst (inclusive).
 func (m *Mesh) Route(src, dst int) []int {
 	path := []int{src}
-	x, y := m.coord(src)
-	dx, dy := m.coord(dst)
-	for x != dx {
-		if x < dx {
-			x++
-		} else {
-			x--
-		}
-		path = append(path, m.node(x, y))
-	}
-	for y != dy {
-		if y < dy {
-			y++
-		} else {
-			y--
-		}
-		path = append(path, m.node(x, y))
-	}
+	m.cfg.walk(src, dst, func(_, _, to int) { path = append(path, to) })
 	return path
 }
 
 // Hops returns the XY hop count between two nodes.
-func (m *Mesh) Hops(src, dst int) int { return len(m.Route(src, dst)) - 1 }
+func (m *Mesh) Hops(src, dst int) int { return len(m.routes[src*m.nodes+dst]) }
 
 // Send injects a packet of `flits` flits at time `now` and returns its
-// arrival time at dst. It walks the XY route (X first, then Y) in place.
-// Each directed link serializes: a packet holds the link for `flits`
-// cycles, so concurrent traffic queues up. src == dst arrives immediately
-// (bank co-located with the core tile).
+// arrival time at dst. It follows the precomputed XY route (X first, then
+// Y). Each directed link serializes: a packet holds the link for `flits`
+// cycles, so concurrent traffic queues up, and its head reaches the next
+// router RouterCycles+LinkCycles after it departs. src == dst arrives
+// immediately (bank co-located with the core tile).
 func (m *Mesh) Send(src, dst int, flits int, now uint64) uint64 {
 	m.stats.Packets++
 	if src == dst {
 		return now
 	}
-	x, y := m.coord(src)
-	dx, dy := m.coord(dst)
+	f, hop := uint64(flits), m.cfg.RouterCycles+m.cfg.LinkCycles
 	t := now
-	for x != dx {
-		if x < dx {
-			t = m.hop(m.node(x, y), east, flits, t)
-			x++
-		} else {
-			t = m.hop(m.node(x, y), west, flits, t)
-			x--
-		}
+	route := m.routes[src*m.nodes+dst]
+	for _, l := range route {
+		free := &m.linkFree[l]
+		depart := max(t, *free)
+		*free = depart + f
+		t = depart + hop
 	}
-	for y != dy {
-		if y < dy {
-			t = m.hop(m.node(x, y), south, flits, t)
-			y++
-		} else {
-			t = m.hop(m.node(x, y), north, flits, t)
-			y--
-		}
-	}
+	m.stats.FlitHops += f * uint64(len(route))
 	// Tail flits serialize onto the final hop.
-	return t + uint64(flits) - 1
-}
-
-// hop moves a packet that is ready at t across the link leaving node in
-// direction dir and returns when its head reaches the next router.
-func (m *Mesh) hop(node, dir, flits int, t uint64) uint64 {
-	free := &m.linkFree[node*directions+dir]
-	depart := max(t, *free)
-	*free = depart + uint64(flits)
-	m.stats.FlitHops += uint64(flits)
-	return depart + m.cfg.RouterCycles + m.cfg.LinkCycles
+	return t + f - 1
 }
 
 // SendCtrl sends a control packet (request/ack).

@@ -210,3 +210,80 @@ func TestSendMatchesRoute(t *testing.T) {
 		}
 	}
 }
+
+// coordMesh is the reference for Send without a route table: every packet
+// walks its XY route in mesh coordinates, X first and then Y.
+// TestSendMatchesCoordinateWalk drives it beside Mesh.
+type coordMesh struct {
+	cfg      Config
+	linkFree []uint64
+	stats    Stats
+}
+
+func (m *coordMesh) send(src, dst, flits int, now uint64) uint64 {
+	m.stats.Packets++
+	if src == dst {
+		return now
+	}
+	w := m.cfg.Width
+	x, y := src%w, src/w
+	dx, dy := dst%w, dst/w
+	t := now
+	hop := func(dir int) {
+		free := &m.linkFree[(y*w+x)*directions+dir]
+		depart := max(t, *free)
+		*free = depart + uint64(flits)
+		m.stats.FlitHops += uint64(flits)
+		t = depart + m.cfg.RouterCycles + m.cfg.LinkCycles
+	}
+	for x != dx {
+		if x < dx {
+			hop(east)
+			x++
+		} else {
+			hop(west)
+			x--
+		}
+	}
+	for y != dy {
+		if y < dy {
+			hop(south)
+			y++
+		} else {
+			hop(north)
+			y--
+		}
+	}
+	return t + uint64(flits) - 1
+}
+
+// TestSendMatchesCoordinateWalk feeds Mesh and coordMesh the same random
+// control and data packets at non-decreasing times, so links contend, and
+// requires every arrival time and the Stats to match on 1x1, 2x2, 4x2 and
+// 4x4 meshes.
+func TestSendMatchesCoordinateWalk(t *testing.T) {
+	for _, wh := range [][2]int{{1, 1}, {2, 2}, {4, 2}, {4, 4}} {
+		cfg := Config{Width: wh[0], Height: wh[1], RouterCycles: 3, LinkCycles: 1, CtrlFlits: 1, DataFlits: 5}
+		m := New(cfg)
+		ref := &coordMesh{cfg: cfg, linkFree: make([]uint64, cfg.Nodes()*directions)}
+		n := uint64(cfg.Nodes())
+		rng, now := uint64(n), uint64(0)
+		for i := 0; i < 20000; i++ {
+			rng = rng*6364136223846793005 + 1442695040888963407
+			src, dst := int((rng>>33)%n), int((rng>>43)%n)
+			now += (rng >> 53) % 4
+			var got, want uint64
+			if (rng>>60)&1 == 0 {
+				got, want = m.SendCtrl(src, dst, now), ref.send(src, dst, cfg.CtrlFlits, now)
+			} else {
+				got, want = m.SendData(src, dst, now), ref.send(src, dst, cfg.DataFlits, now)
+			}
+			if got != want {
+				t.Fatalf("%dx%d, packet %d (%d->%d at %d): arrival %d, coordinate walk gives %d", wh[0], wh[1], i, src, dst, now, got, want)
+			}
+		}
+		if m.Stats() != ref.stats {
+			t.Fatalf("%dx%d: stats %+v, coordinate walk gives %+v", wh[0], wh[1], m.Stats(), ref.stats)
+		}
+	}
+}
