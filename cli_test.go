@@ -147,6 +147,19 @@ func TestLvaexpUnknownExperiment(t *testing.T) {
 	}
 }
 
+// TestLvaexpProgress checks -progress writes one line per finished figure
+// to stderr and nothing else.
+func TestLvaexpProgress(t *testing.T) {
+	bin := buildCLI(t, "lvaexp")
+	_, stderr, err := runCLI(t, bin, "-progress", "table1")
+	if err != nil {
+		t.Fatalf("lvaexp: %v\n%s", err, stderr)
+	}
+	if want := "lva: figure table1 done (1/1)\n"; stderr != want {
+		t.Errorf("stderr = %q, want %q", stderr, want)
+	}
+}
+
 func TestLvasimSingleBenchmark(t *testing.T) {
 	bin := buildCLI(t, "lvasim")
 	out, _, err := runCLI(t, bin, "-bench", "swaptions", "-attach", "lva")

@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"lva/internal/experiments"
-	"lva/internal/obs"
 )
 
 func main() {
@@ -78,7 +77,7 @@ func main() {
 		experiments.Observe() // the observers stay on until the process exits
 	}
 	if *pprofAddr != "" {
-		addr, err := obs.ServeDebug(*pprofAddr)
+		addr, err := experiments.ServeDebug(*pprofAddr)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "lvaexp:", err)
 			os.Exit(2)
@@ -86,8 +85,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "lvaexp: debug server on http://%s/debug/pprof/\n", addr)
 	}
 	if *progress {
-		cancel := obs.OnEvent(obs.NewProgressPrinter(os.Stderr))
-		defer cancel()
+		experiments.Progress = os.Stderr
 	}
 
 	// All requested experiments run concurrently: points from different

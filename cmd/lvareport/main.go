@@ -22,7 +22,6 @@ import (
 	"time"
 
 	"lva/internal/experiments"
-	"lva/internal/obs"
 	"lva/internal/obs/attr"
 	"lva/internal/obs/prov"
 )
@@ -103,7 +102,7 @@ func renderObservation(path string) int {
 	fmt.Println()
 	fmt.Println("Deterministic subset of the obs registry.")
 	fmt.Println()
-	fmt.Print(obs.Snapshot{Metrics: o.Metrics}.Markdown())
+	fmt.Print(experiments.MetricsSnapshot{Metrics: o.Metrics}.Markdown())
 	fmt.Println()
 	renderAttribution(o.Attribution)
 	return renderProvenance(&o.Provenance)

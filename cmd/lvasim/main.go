@@ -15,7 +15,6 @@ import (
 
 	"lva/internal/core"
 	"lva/internal/experiments"
-	"lva/internal/obs"
 	"lva/internal/prefetch"
 	"lva/internal/stats"
 	"lva/internal/workloads"
@@ -37,7 +36,7 @@ func main() {
 	flag.Parse()
 
 	if *pprof != "" {
-		addr, err := obs.ServeDebug(*pprof)
+		addr, err := experiments.ServeDebug(*pprof)
 		if err != nil {
 			fail(err)
 		}

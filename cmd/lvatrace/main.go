@@ -256,7 +256,7 @@ func cmdReplay(args []string) error {
 		r.Cycles, r.IPC(), r.L1LoadMisses, r.Covered, r.Fetches)
 	fmt.Printf("  L2acc=%d dram=%d flitHops=%d invals=%d flushes=%d\n",
 		r.L2Accesses, r.DRAMAccesses, r.FlitHops, r.Invalidations, r.Flushes)
-	fmt.Printf("  avgServiceLat=%.1f avgExposedMissLat=%.1f energy=%.3g pJ missEDP=%.3g\n",
-		r.AvgServiceLatency(), r.AvgExposedMissLatency(), r.Energy.TotalPJ(), r.MissEDP())
+	fmt.Printf("  avgExposedMissLat=%.1f energy=%.3g pJ missEDP=%.3g\n",
+		r.AvgExposedMissLatency(), r.Energy.TotalPJ(), r.MissEDP())
 	return nil
 }

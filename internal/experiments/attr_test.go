@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"lva/internal/memsim"
-	"lva/internal/obs"
 	"lva/internal/obs/attr"
 )
 
@@ -115,13 +114,11 @@ func TestAttrSnapshotDeterministic(t *testing.T) {
 	defer func() {
 		Parallelism = saved
 		ResetRunCache()
-		obs.Default().Reset()
 	}()
 
 	capture := func(par int) (*Observation, map[string]string) {
 		Parallelism = par
 		ResetRunCache()
-		obs.Default().Reset()
 		defer Observe()()
 		if _, err := RunAll("fig12", "fig13"); err != nil {
 			t.Fatal(err)

@@ -269,7 +269,7 @@ func serveReplay(fig string, group []*ctrReq) {
 		// Publish once per memo cell: a racing pass that stored the point
 		// first has published it already.
 		if memoPut(memoReplay, r.dp, res) {
-			eng().publish(res)
+			eng.publish(res)
 		}
 		observed[i].publish()
 		traceStats.replayPoints.Add(1)

@@ -3,14 +3,13 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"io"
 	"runtime/pprof"
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
-	"lva/internal/obs"
 	"lva/internal/stats"
 )
 
@@ -144,6 +143,10 @@ func idKey(id string) int {
 	return 1000 // ablations/extensions after the paper's artifacts
 }
 
+// Progress, when not nil, receives one line as each figure of a RunAll
+// finishes: "lva: figure <id> done (<i>/<n>)". Set it before the run.
+var Progress io.Writer
+
 // RunAll regenerates the named experiments (every registry experiment when
 // ids is empty) with cross-figure scheduling: each driver runs in its own
 // goroutine and admits its simulation points through the shared
@@ -160,8 +163,11 @@ func RunAll(ids ...string) ([]*Figure, error) {
 		}
 	}
 	figs := make([]*Figure, len(ids))
-	var wg sync.WaitGroup
-	var done atomic.Int32
+	var (
+		wg   sync.WaitGroup
+		mu   sync.Mutex // serializes done and the Progress lines
+		done int
+	)
 	for i, id := range ids {
 		wg.Add(1)
 		go func(i int, id string) {
@@ -177,11 +183,13 @@ func RunAll(ids ...string) ([]*Figure, error) {
 					tl.span(tlPidFigures, i, id, "figure", start, nil)
 				}
 			})
-			eng().figuresDone.Inc()
-			obs.Emit(obs.Event{
-				Kind: obs.EventFigureDone, Name: id,
-				Done: int(done.Add(1)), Total: len(ids),
-			})
+			eng.figuresDone.Add(1)
+			if Progress != nil {
+				mu.Lock()
+				done++
+				fmt.Fprintf(Progress, "lva: figure %s done (%d/%d)\n", id, done, len(ids))
+				mu.Unlock()
+			}
 		}(i, id)
 	}
 	wg.Wait()

@@ -5,16 +5,17 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"strconv"
+	"strings"
 
-	"lva/internal/obs"
 	"lva/internal/obs/attr"
 	"lva/internal/obs/prov"
 )
 
 // An observed run leaves one artifact, the run bundle: a Chrome
 // trace-event JSON object whose traceEvents are the run timeline, followed
-// by the deterministic sections that explain the figures: the metrics
-// registry, per-site attribution and the provenance manifest. Observe
+// by the deterministic sections that explain the figures: the engine
+// metrics, per-site attribution and the provenance manifest. Observe
 // turns every observer on before a run, WriteObservation writes the bundle
 // after it, and ReadObservation reads one back for lvareport.
 
@@ -33,15 +34,71 @@ type Observation struct {
 	Version         int          `json:"version"`
 	// Code is GoldenCodeVersion of the code that ran.
 	Code string `json:"code"`
-	// Metrics is the registry's deterministic snapshot (volatile timing
-	// histograms excluded).
-	Metrics []obs.MetricSnapshot `json:"metrics"`
+	// Metrics is the engine metrics' deterministic snapshot (volatile
+	// timing histograms excluded).
+	Metrics []MetricSnapshot `json:"metrics"`
 	// Attribution holds one scope per simulated approximate design point,
 	// sorted by scope.
 	Attribution []attr.ScopeStats `json:"attribution"`
 	// Provenance says how every evaluation was served, with the engine
 	// counters it reconciles against.
 	Provenance prov.Manifest `json:"provenance"`
+}
+
+// MetricsSnapshot is a frozen, name-sorted view of the engine metrics
+// (see Metrics). With the volatile metrics excluded it is fully
+// deterministic: the same simulations produce the same bytes regardless
+// of Parallelism or scheduling order.
+type MetricsSnapshot struct {
+	Metrics []MetricSnapshot `json:"metrics"`
+}
+
+// MetricSnapshot is one metric's frozen state.
+type MetricSnapshot struct {
+	Name    string   `json:"name"`
+	Kind    string   `json:"kind"`
+	Help    string   `json:"help,omitempty"`
+	Value   int64    `json:"value,omitempty"`   // gauges
+	Count   uint64   `json:"count,omitempty"`   // counters and histogram totals
+	Buckets []Bucket `json:"buckets,omitempty"` // histograms
+}
+
+// Bucket is one histogram bucket in a snapshot. Le is the bucket's
+// inclusive upper bound formatted as a string ("+Inf" for the overflow
+// bucket) because JSON cannot encode infinities.
+type Bucket struct {
+	Le    string `json:"le"`
+	Count uint64 `json:"count"`
+}
+
+// Markdown renders the snapshot as a GitHub-flavored table, one row per
+// metric. Histograms report their total count plus the non-empty buckets
+// inline, so a report stays readable without losing the distribution.
+func (s MetricsSnapshot) Markdown() string {
+	var b strings.Builder
+	b.WriteString("| metric | kind | value |\n|---|---|---|\n")
+	for _, m := range s.Metrics {
+		var v string
+		switch m.Kind {
+		case kindGauge:
+			v = strconv.FormatInt(m.Value, 10)
+		case kindHistogram:
+			parts := make([]string, 0, len(m.Buckets))
+			for _, bk := range m.Buckets {
+				if bk.Count > 0 {
+					parts = append(parts, fmt.Sprintf("≤%s: %d", bk.Le, bk.Count))
+				}
+			}
+			v = fmt.Sprintf("n=%d", m.Count)
+			if len(parts) > 0 {
+				v += " (" + strings.Join(parts, ", ") + ")"
+			}
+		default:
+			v = strconv.FormatUint(m.Count, 10)
+		}
+		fmt.Fprintf(&b, "| %s | %s | %s |\n", m.Name, m.Kind, v)
+	}
+	return b.String()
 }
 
 // Observe starts an observed run: a fresh run timeline, per-site
@@ -73,7 +130,7 @@ func WriteObservation(w io.Writer) error {
 		DisplayTimeUnit: "ms",
 		Version:         ObservationVersion,
 		Code:            GoldenCodeVersion,
-		Metrics:         obs.Default().Snapshot(false).Metrics,
+		Metrics:         Metrics(false).Metrics,
 		Attribution:     attr.TakeSnapshot().Scopes,
 		Provenance:      l.Manifest(provCounters()),
 	}, "", " ")

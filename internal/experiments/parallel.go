@@ -39,7 +39,6 @@ func init() { simGate.cond = sync.NewCond(&simGate.mu) }
 // free, so concurrent work packs onto low-numbered timeline tracks) and
 // how long the caller queued.
 func admit() (slot int, wait time.Duration) {
-	m := eng()
 	start := time.Now()
 	simGate.mu.Lock()
 	for simGate.active >= max(1, Parallelism) {
@@ -53,20 +52,19 @@ func admit() (slot int, wait time.Duration) {
 		simGate.busy = append(simGate.busy, false)
 	}
 	simGate.busy[slot] = true
-	m.inflight.Set(int64(simGate.active))
+	eng.inflight.Store(int64(simGate.active))
 	simGate.mu.Unlock()
 	wait = time.Since(start)
-	m.queueWait.Observe(wait.Seconds())
+	eng.queueWait.observe(wait.Seconds())
 	return slot, wait
 }
 
 // release returns the slot claimed by admit.
 func release(slot int) {
-	m := eng()
 	simGate.mu.Lock()
 	simGate.active--
 	simGate.busy[slot] = false
-	m.inflight.Set(int64(simGate.active))
+	eng.inflight.Store(int64(simGate.active))
 	simGate.cond.Signal()
 	simGate.mu.Unlock()
 }

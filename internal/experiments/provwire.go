@@ -35,7 +35,7 @@ func provCounters() prov.Counters {
 		FooterPoints:    t.HeaderHits,
 		ReplayedPoints:  t.ReplayPoints + t.ReplayHits,
 		ExecPoints:      t.ExecPoints,
-		RunCacheLookups: eng().cacheLookups.Value(),
+		RunCacheLookups: eng.cacheLookups.Load(),
 	}
 }
 

@@ -148,18 +148,17 @@ func memoPut(kind memoKind, dp designPoint, v any) bool {
 // cachedRun returns the memoized phase-1 run of dp, simulating it with sim
 // at most once per process. Executed simulations become spans on the run
 // timeline's kernel-simulation lanes, memo hits become instants. Counters
-// live on the obs registry (one counter surface for lvaexp -v and -metrics
-// alike); the wall-time histogram is volatile, and it and the simulator
-// event sums only count simulations that actually execute.
+// live in the engine metrics (one counter surface for lvaexp -v and the
+// run bundle alike); the wall-time histogram is volatile, and it and the
+// simulator event sums only count simulations that actually execute.
 func cachedRun(dp designPoint, sim func() RunResult) RunResult {
-	m := eng()
-	m.cacheLookups.Inc()
+	eng.cacheLookups.Add(1)
 	timed := func() RunResult {
 		tl := timeline.Load()
 		start := time.Now()
 		r := sim()
-		m.runWall.Observe(time.Since(start).Seconds())
-		m.publish(r.Sim)
+		eng.runWall.observe(time.Since(start).Seconds())
+		eng.publish(r.Sim)
 		if tl != nil {
 			tl.span(tlPidSims, tl.nextSimTid(), "sim "+dp.label(), "sim", start,
 				map[string]any{"cache": "miss"})
@@ -167,23 +166,23 @@ func cachedRun(dp designPoint, sim func() RunResult) RunResult {
 		return r
 	}
 	if runCacheOff.Load() {
-		m.cacheSims.Inc()
+		eng.cacheSims.Add(1)
 		if l := prov.Active(); l != nil {
 			l.Call(dp.hash(), dp.label(), false)
 		}
 		return timed()
 	}
 	r, hit := memoOnce(memoRun, dp, func() RunResult {
-		m.cacheSims.Inc()
+		eng.cacheSims.Add(1)
 		return timed()
 	})
 	if l := prov.Active(); l != nil {
 		l.Call(dp.hash(), dp.label(), hit)
 	}
 	if hit {
-		m.cacheHits.Inc()
+		eng.cacheHits.Add(1)
 		if dp.mem.Attach == memsim.AttachNone {
-			m.preciseHits.Inc()
+			eng.preciseHits.Add(1)
 		}
 		if tl := timeline.Load(); tl != nil {
 			tl.instant(tlPidSims, 0, "hit "+dp.label(), "cache", nil)
@@ -194,11 +193,10 @@ func cachedRun(dp designPoint, sim func() RunResult) RunResult {
 
 // RunCacheCounters returns a snapshot of the run-cache counters.
 func RunCacheCounters() RunCacheStats {
-	m := eng()
 	return RunCacheStats{
-		Hits:        m.cacheHits.Value(),
-		Simulated:   m.cacheSims.Value(),
-		PreciseHits: m.preciseHits.Value(),
+		Hits:        eng.cacheHits.Load(),
+		Simulated:   eng.cacheSims.Load(),
+		PreciseHits: eng.preciseHits.Load(),
 	}
 }
 
@@ -210,7 +208,7 @@ func SetRunCacheEnabled(on bool) { runCacheOff.Store(!on) }
 
 // ResetRunCache drops every memoized value — phase-1 results, grid-trace
 // recordings, replayed counter points and phase-2 results — and zeroes
-// the counters, restoring process-cold behaviour. (Recordings in an
+// every engine metric, restoring process-cold behaviour. (Recordings in an
 // explicit SetTraceDir/LVA_TRACE_DIR store survive; the per-process temp
 // store is deleted.) It swaps in an empty memo store rather than deleting
 // entries, so it costs the same however much the last run memoized. It is
@@ -219,9 +217,5 @@ func SetRunCacheEnabled(on bool) { runCacheOff.Store(!on) }
 func ResetRunCache() {
 	memo.Store(new(sync.Map))
 	resetTraceStore()
-	m := eng()
-	m.cacheHits.Reset()
-	m.cacheSims.Reset()
-	m.preciseHits.Reset()
-	m.cacheLookups.Reset()
+	resetMetrics()
 }

@@ -1,7 +1,10 @@
 package experiments
 
 import (
+	"bytes"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"lva/internal/fullsys"
@@ -234,6 +237,37 @@ func TestRegistryDeterministicAcrossParallelismAndCache(t *testing.T) {
 	for id, s := range render(figs) {
 		if s != cold[id] {
 			t.Errorf("%s: Parallelism=1 rendering differs from Parallelism=8:\nP=8:\n%s\nP=1:\n%s", id, cold[id], s)
+		}
+	}
+}
+
+// TestRunAllProgress checks RunAll writes one progress line per figure,
+// numbering completions 1..n whatever order the concurrent drivers finish
+// in. Under -race it also checks the drivers' writes are serialized.
+func TestRunAllProgress(t *testing.T) {
+	var buf bytes.Buffer
+	Progress = &buf
+	defer func() { Progress = nil }()
+	ids := []string{"fig12", "fig13", "table1"}
+	if _, err := RunAll(ids...); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
+	if len(lines) != len(ids) {
+		t.Fatalf("%d progress lines, want %d:\n%s", len(lines), len(ids), buf.String())
+	}
+	seen := map[string]bool{}
+	for i, line := range lines {
+		var id string
+		var done, total int
+		if _, err := fmt.Sscanf(line, "lva: figure %s done (%d/%d)", &id, &done, &total); err != nil || done != i+1 || total != len(ids) {
+			t.Errorf("line %d = %q, want lva: figure <id> done (%d/%d)", i, line, i+1, len(ids))
+		}
+		seen[id] = true
+	}
+	for _, id := range ids {
+		if !seen[id] {
+			t.Errorf("no progress line for %s:\n%s", id, buf.String())
 		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"lva/internal/core"
-	"lva/internal/obs"
 	"lva/internal/obs/prov"
 	"lva/internal/workloads"
 )
@@ -239,15 +238,13 @@ func RunSweep(spec SweepSpec, progress func(done, total int)) ([]SweepPoint, err
 					pt.NormFetches = float64(pt.Fetches) / p
 				}
 				out[j.idx] = pt
-				eng().sweepPoints.Inc()
+				eng.sweepPoints.Add(1)
 				mu.Lock()
 				done++
-				d := done
 				if progress != nil {
-					progress(d, total)
+					progress(done, total)
 				}
 				mu.Unlock()
-				obs.Emit(obs.Event{Kind: obs.EventSweepPoint, Name: "lva", Done: d, Total: total})
 			}
 		}()
 	}

@@ -136,7 +136,6 @@ type Result struct {
 	Fetches       uint64 // block fetches issued into the hierarchy
 	ElidedFetches uint64 // fetches skipped via approximation degree
 	L2Accesses    uint64
-	L2Misses      uint64
 	DRAMAccesses  uint64
 	DRAMRowHits   uint64
 	Writebacks    uint64
@@ -148,11 +147,8 @@ type Result struct {
 	Invalidations uint64
 	Flushes       uint64
 
-	StallCycles      uint64 // cycles cores spent blocked on load misses
-	StallEvents      uint64 // number of blocking waits
-	PerCore          []CoreStat
-	MissServiceTotal uint64 // summed service latency of demand fetches
-	ServicedMisses   uint64
+	StallCycles uint64 // cycles cores spent blocked on load misses
+	PerCore     []CoreStat
 
 	Energy *energy.Tally
 }
@@ -178,14 +174,6 @@ func (r Result) IPC() float64 {
 		return 0
 	}
 	return float64(r.Instructions) / float64(r.Cycles)
-}
-
-// AvgServiceLatency is the mean latency to service a demand fetch.
-func (r Result) AvgServiceLatency() float64 {
-	if r.ServicedMisses == 0 {
-		return 0
-	}
-	return float64(r.MissServiceTotal) / float64(r.ServicedMisses)
 }
 
 // AvgExposedMissLatency is the mean stall time per L1 load miss: the miss
@@ -569,10 +557,6 @@ func (s *Sim) finish(cores []*coreState) Result {
 	s.res.Invalidations = s.dir.Invalidations
 	s.res.Flushes = s.dir.Flushes
 	s.tally.FlitHops = nst.FlitHops
-	for _, l2 := range s.l2 {
-		st := l2.Stats()
-		s.res.L2Misses += st.Misses()
-	}
 	s.res.DRAMRowHits = s.dram.Stats().RowHits
 	s.res.Energy = s.tally
 	return s.res
@@ -589,7 +573,6 @@ func (s *Sim) retire(c *coreState, instsAboutToBe uint64) {
 		c.popPending()
 		if p.completeAt*4 > c.cycleQ {
 			s.res.StallCycles += p.completeAt - c.cycleQ/4
-			s.res.StallEvents++
 			c.cycleQ = p.completeAt * 4
 		}
 	}
@@ -628,9 +611,9 @@ func (s *Sim) step(c *coreState, a *record) {
 			return
 		}
 		// Store miss: write-allocate through the store buffer; the core
-		// does not stall beyond MSHR availability.
+		// does not stall beyond MSHR availability. fetchBlock installs
+		// the block dirty.
 		s.issueFetch(c, block, true, false)
-		l1.MarkDirty(a.addr)
 		return
 	}
 
@@ -693,7 +676,6 @@ func (s *Sim) issueFetch(c *coreState, block uint64, store, training bool) uint6
 			}
 		}
 		s.res.StallCycles += min - now
-		s.res.StallEvents++
 		c.cycleQ = min * 4
 		now = min
 		c.mshr = append(c.mshr[:idx], c.mshr[idx+1:]...)
@@ -767,7 +749,7 @@ func (s *Sim) fetchBlock(node int, block uint64, now uint64, store, training boo
 		t = s.dram.Access(block, t)
 		s.tally.DRAMAccesses++
 		s.res.DRAMAccesses++
-		if evicted, _, dirtyEvict := s.l2[home].Fill(block, false); dirtyEvict {
+		if evicted, _, dirtyEvict := s.l2[home].FillAbsent(block, false); dirtyEvict {
 			// L2 victim writeback to memory (fire-and-forget; it still
 			// occupies the device).
 			s.dram.Access(evicted, t)
@@ -791,8 +773,10 @@ func (s *Sim) fetchBlock(node int, block uint64, now uint64, store, training boo
 		t += s.cfg.TrainingLane.ExtraLatency
 	}
 
-	// Install in L1, handling the victim.
-	if evicted, was, dirty := s.l1[node].Fill(block, false); was {
+	// Install in L1, handling the victim. step saw the block miss in this
+	// L1, and coherence since then only invalidated other L1s, so it is
+	// still absent.
+	if evicted, was, dirty := s.l1[node].FillAbsent(block, false); was {
 		evBlock := s.l1[node].BlockAddr(evicted)
 		s.dir.Evict(evBlock, node)
 		if dirty {
@@ -804,16 +788,13 @@ func (s *Sim) fetchBlock(node int, block uint64, now uint64, store, training boo
 			s.tally.L2Accesses++
 			s.res.L2Accesses++
 			if !s.l2[evHome].Store(evBlock) {
-				s.l2[evHome].Fill(evBlock, false)
+				s.l2[evHome].FillAbsent(evBlock, false)
+				s.l2[evHome].MarkDirty(evBlock)
 			}
-			s.l2[evHome].MarkDirty(evBlock)
 		}
 	}
 	if store {
 		s.l1[node].MarkDirty(block)
 	}
-
-	s.res.MissServiceTotal += t - now
-	s.res.ServicedMisses++
 	return t
 }

@@ -250,19 +250,15 @@ func TestL2AndDRAMAccounting(t *testing.T) {
 }
 
 func TestResultDerivedMetrics(t *testing.T) {
-	r := Result{Cycles: 100, Instructions: 400, L1LoadMisses: 10,
-		StallCycles: 50, MissServiceTotal: 900, ServicedMisses: 9}
+	r := Result{Cycles: 100, Instructions: 400, L1LoadMisses: 10, StallCycles: 50}
 	if r.IPC() != 4 {
 		t.Fatalf("IPC = %v", r.IPC())
-	}
-	if r.AvgServiceLatency() != 100 {
-		t.Fatalf("service latency = %v", r.AvgServiceLatency())
 	}
 	if r.AvgExposedMissLatency() != 5 {
 		t.Fatalf("exposed latency = %v", r.AvgExposedMissLatency())
 	}
 	zero := Result{}
-	if zero.IPC() != 0 || zero.AvgServiceLatency() != 0 || zero.AvgExposedMissLatency() != 0 {
+	if zero.IPC() != 0 || zero.AvgExposedMissLatency() != 0 {
 		t.Fatal("zero-result conventions")
 	}
 }

@@ -19,7 +19,6 @@ var libraryPkgs = map[string]bool{
 	"lva/internal/isa":       true,
 	"lva/internal/memsim":    true,
 	"lva/internal/noc":       true,
-	"lva/internal/obs":       true,
 	"lva/internal/obs/attr":  true,
 	"lva/internal/obs/prov":  true,
 	"lva/internal/prefetch":  true,

@@ -15,9 +15,9 @@ import (
 //     path (timing metrics live in the experiment engine's volatile
 //     histograms), and a stray one is usually a debugging leftover.
 //   - mutating a package-level variable is forbidden: a simulator counts
-//     its events in its own Stats, which the experiment engine publishes
-//     to the lva/internal/obs registry once per run; an ad-hoc global
-//     races under the cross-figure scheduler.
+//     its events in its own Stats, which the experiment engine adds to
+//     its engine metrics once per run; an ad-hoc global races under the
+//     cross-figure scheduler.
 //
 // The attribution flight recorder (lva/internal/obs/attr) is itself wired
 // into the annotated-load path through a nil-pointer seam, so it obeys the
@@ -107,5 +107,5 @@ func reportGlobalMutation(p *Pass, pos token.Pos, e ast.Expr) {
 	if !ok || v.Parent() != p.Pkg.Types.Scope() {
 		return
 	}
-	p.Reportf(pos, "mutation of package-level %s in a hot-path package: count events in the simulator's own Stats, which the experiment engine publishes to the obs registry once per run", v.Name())
+	p.Reportf(pos, "mutation of package-level %s in a hot-path package: count events in the simulator's own Stats, which the experiment engine adds to its engine metrics once per run", v.Name())
 }

@@ -3,11 +3,11 @@
 // counters reached only through a nil-able metrics seam.
 package obshooks_good
 
-// metrics stands in for the obs-registered seam struct each hot-path
-// package keeps (nil when metrics are disabled).
+// metrics stands in for a nil-able seam into the engine metrics (nil
+// when metrics are disabled).
 type metrics struct{ misses counter }
 
-// counter stands in for obs.Counter.
+// counter stands in for one engine metrics counter.
 type counter struct{ n uint64 }
 
 func (c *counter) inc() {

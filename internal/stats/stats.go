@@ -1,6 +1,6 @@
 // Package stats provides small numeric helpers shared by the simulators
-// and experiment drivers. Event counting lives in lva/internal/obs, whose
-// registry counters are race-safe under the cross-figure scheduler.
+// and experiment drivers. Event counting lives in each simulator's own
+// Stats, which the experiment engine sums into its metrics once per run.
 package stats
 
 import "fmt"

@@ -38,7 +38,6 @@ import (
 	"lva/internal/fullsys"
 	"lva/internal/isa"
 	"lva/internal/memsim"
-	"lva/internal/obs"
 	"lva/internal/prefetch"
 	"lva/internal/value"
 	"lva/internal/workloads"
@@ -182,15 +181,15 @@ func RunExperiment(id string) (*Figure, bool) {
 	return d(), true
 }
 
-// MetricsSnapshot is a frozen, name-sorted view of the observability
-// registry (see internal/obs).
-type MetricsSnapshot = obs.Snapshot
+// MetricsSnapshot is a frozen, name-sorted view of the experiment
+// engine's metrics.
+type MetricsSnapshot = experiments.MetricsSnapshot
 
-// Metrics snapshots the process-wide observability registry.
-// includeVolatile also captures wall-clock timing histograms, whose values
-// change run to run; leave it false for byte-stable output.
+// Metrics snapshots the experiment engine's metrics. includeVolatile also
+// captures wall-clock timing histograms, whose values change run to run;
+// leave it false for byte-stable output.
 func Metrics(includeVolatile bool) MetricsSnapshot {
-	return obs.Default().Snapshot(includeVolatile)
+	return experiments.Metrics(includeVolatile)
 }
 
 // RunFullSystem captures a workload's precise 4-thread access stream in
